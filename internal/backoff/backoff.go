@@ -1,46 +1,26 @@
 // Package backoff centralizes the retry pauses used across the grid:
-// capped exponential growth with optional deterministic jitter and a
-// uniform place to honor a server's Retry-After hint. Before this package
-// each retry loop (worker lease, worker report, remote executor) grew its
-// own ad-hoc schedule; now they all describe the same thing with a Policy
-// and differ only in constants.
+// capped exponential growth and a uniform place to honor a server's
+// Retry-After hint.
 package backoff
 
-import (
-	"math/rand"
-	"sync"
-	"time"
-)
+import "time"
 
-// Policy describes a capped exponential backoff schedule. The zero value
-// is unusable (zero pauses); construct one with explicit Base and Cap.
+// Policy describes a capped exponential backoff schedule that doubles per
+// attempt. The zero value is unusable (zero pauses); construct one with
+// explicit Base and Cap.
 type Policy struct {
 	// Base is the pause before the first retry (attempt 0).
 	Base time.Duration
 	// Cap bounds the grown pause (<= 0 means uncapped).
 	Cap time.Duration
-	// Factor is the per-attempt growth multiplier (<= 1 selects 2).
-	Factor float64
-	// Jitter spreads each pause uniformly over [pause*(1-Jitter), pause]
-	// to de-synchronize a fleet retrying the same coordinator. 0 disables
-	// jitter; values are clamped to [0, 1). Jitter requires Rand.
-	Jitter float64
-	// Rand supplies jitter randomness. A seeded Source makes the whole
-	// schedule deterministic — the property chaos tests rely on. nil
-	// disables jitter regardless of Jitter.
-	Rand *Source
 }
 
-// Pause returns the pause before retry `attempt` (0-based): Base grown by
-// Factor^attempt, capped, jittered.
+// Pause returns the pause before retry `attempt` (0-based): Base doubled
+// attempt times, capped.
 func (p Policy) Pause(attempt int) time.Duration {
-	factor := p.Factor
-	if factor <= 1 {
-		factor = 2
-	}
 	pause := float64(p.Base)
 	for i := 0; i < attempt; i++ {
-		pause *= factor
+		pause *= 2
 		if p.Cap > 0 && pause >= float64(p.Cap) {
 			pause = float64(p.Cap)
 			break
@@ -48,10 +28,6 @@ func (p Policy) Pause(attempt int) time.Duration {
 	}
 	if p.Cap > 0 && pause > float64(p.Cap) {
 		pause = float64(p.Cap)
-	}
-	if p.Jitter > 0 && p.Rand != nil {
-		j := min(p.Jitter, 0.999)
-		pause *= 1 - j*p.Rand.Float64()
 	}
 	return time.Duration(pause)
 }
@@ -65,23 +41,4 @@ func (p Policy) PauseHint(attempt int, hint time.Duration) time.Duration {
 		return hint
 	}
 	return p.Pause(attempt)
-}
-
-// Source is a mutex-guarded seeded random source, safe for use by the
-// concurrent retry loops that share one Policy.
-type Source struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-// NewSource returns a deterministic jitter source for seed.
-func NewSource(seed int64) *Source {
-	return &Source{rng: rand.New(rand.NewSource(seed))}
-}
-
-// Float64 returns the next value in [0, 1).
-func (s *Source) Float64() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rng.Float64()
 }

@@ -22,13 +22,6 @@ func TestPauseGrowsAndCaps(t *testing.T) {
 	}
 }
 
-func TestPauseCustomFactor(t *testing.T) {
-	p := Policy{Base: time.Second, Cap: time.Minute, Factor: 3}
-	if got := p.Pause(2); got != 9*time.Second {
-		t.Errorf("factor 3 attempt 2: %v, want 9s", got)
-	}
-}
-
 func TestPauseUncapped(t *testing.T) {
 	p := Policy{Base: time.Second}
 	if got := p.Pause(4); got != 16*time.Second {
@@ -43,34 +36,5 @@ func TestHintOverrides(t *testing.T) {
 	}
 	if got := p.PauseHint(0, 0); got != p.Pause(0) {
 		t.Errorf("absent hint must fall back to the schedule: %v", got)
-	}
-}
-
-// TestJitterDeterministicAndBounded: a seeded source replays the same
-// jittered schedule, and every pause stays within [pause*(1-Jitter), pause].
-func TestJitterDeterministicAndBounded(t *testing.T) {
-	mk := func() Policy {
-		return Policy{Base: time.Second, Cap: 10 * time.Second, Jitter: 0.5, Rand: NewSource(42)}
-	}
-	a, b := mk(), mk()
-	for attempt := 0; attempt < 6; attempt++ {
-		pa, pb := a.Pause(attempt), b.Pause(attempt)
-		if pa != pb {
-			t.Fatalf("attempt %d: same seed diverged: %v vs %v", attempt, pa, pb)
-		}
-		bare := Policy{Base: time.Second, Cap: 10 * time.Second}.Pause(attempt)
-		if pa > bare || pa < time.Duration(float64(bare)*0.5) {
-			t.Errorf("attempt %d: jittered pause %v outside [%v, %v]", attempt, pa,
-				time.Duration(float64(bare)*0.5), bare)
-		}
-	}
-}
-
-// TestJitterWithoutRandDisabled: Jitter set but no source must leave the
-// schedule exact, not panic or silently randomize.
-func TestJitterWithoutRandDisabled(t *testing.T) {
-	p := Policy{Base: time.Second, Cap: 4 * time.Second, Jitter: 0.5}
-	if got := p.Pause(1); got != 2*time.Second {
-		t.Errorf("jitter without source changed the pause: %v", got)
 	}
 }

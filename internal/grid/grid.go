@@ -1,29 +1,32 @@
 // Package grid shards a sweep.Job matrix across worker processes over
-// HTTP. The Coordinator implements sweep.Executor: sweep.Run's worker pool
-// hands it jobs, it leases each job to the next polling worker, and the
-// result flows back through Run's deterministic in-order sink delivery —
-// so JSONL/CSV output of a distributed sweep is byte-identical to a local
-// run. A lease that is not completed before its TTL (worker crash, network
+// HTTP. Server is the one execution path: a client (RemoteExecutor, the
+// sweep.Executor that `safespec-bench -remote` and `-serve` use) submits
+// the job matrix, the Server's lease coordinator hands each job to the
+// next polling Worker, and results stream back to the client, which
+// delivers them through sweep.Run's deterministic in-order sinks — so
+// JSONL/CSV output of a distributed sweep is byte-identical to a local
+// run. Worker and RemoteExecutor share one wire client (client.go).
+//
+// A lease that is not completed before its TTL (worker crash, network
 // partition) is re-queued and handed to another worker — but a slow
 // worker's late result is still accepted while the job remains incomplete,
 // since the simulation is deterministic and any completion is the
 // completion. A job whose leases are lost too many times fails with an
 // error Result instead of stalling the sweep forever.
 //
-// Wire protocol (JSON over HTTP, versioned under /v1/). The worker-facing
-// endpoints are served by Coordinator.Handler; Server adds the
-// sweep-submission surface on top and guards every /v1/* endpoint with a
-// shared bearer token:
+// Wire protocol (JSON over HTTP, versioned under /v1/), served by
+// Server.Handler with every /v1/* endpoint guarded by per-tenant bearer
+// auth:
 //
 //	POST   /v1/lease             LeaseRequest  -> 200 LeaseResponse | 204 (no work)
 //	POST   /v1/result            ResultRequest -> 200 | 409 (lease unknown or expired)
 //	POST   /v1/incident          IncidentRequest -> 200 | 409 (lease unknown)
 //	POST   /v1/heartbeat         HeartbeatRequest -> 200
-//	GET    /v1/stats                           -> 200 Snapshot (ServerSnapshot on a Server)
+//	GET    /v1/stats                           -> 200 ServerSnapshot
 //	POST   /v1/sweeps            SubmitRequest -> 200 SubmitResponse
 //	POST   /v1/sweeps/{id}/jobs  JobRequest    -> 200 (idempotent per index)
 //	GET    /v1/sweeps/{id}                     -> 200 SweepStatus
-//	GET    /v1/sweeps/{id}?index=N&wait=30s    -> 200 sweep.Result | 204 (pending)
+//	GET    /v1/sweeps/{id}/results?after=N&wait=30s -> 200 ResultBatch
 //	DELETE /v1/sweeps/{id}                     -> 200 (sweep state released)
 //
 // Job execution errors are final results (exactly as in a local run) and
@@ -32,7 +35,6 @@ package grid
 
 import (
 	"container/list"
-	"context"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -62,9 +64,8 @@ type LeaseResponse struct {
 	// TTLMS is the lease duration; the worker must report the result within
 	// it or the job is re-queued to another worker.
 	TTLMS int64 `json:"ttl_ms"`
-	// SweepID names the submitted sweep the job belongs to ("" for jobs
-	// queued by a direct Execute call). It exists so worker logs carry the
-	// sweep end to end; older workers ignore the field.
+	// SweepID names the submitted sweep the job belongs to, so worker logs
+	// carry the sweep end to end.
 	SweepID string `json:"sweep_id,omitempty"`
 }
 
@@ -99,7 +100,7 @@ type Snapshot struct {
 	Workers []WorkerHealthSnapshot `json:"workers,omitempty"`
 }
 
-// Options configures a Coordinator.
+// Options configures the Server's lease coordinator (ServerOptions.Lease).
 type Options struct {
 	// LeaseTTL is how long a worker may hold a job before it is re-queued
 	// (default 2 minutes; shorten it in tests to exercise the retry path).
@@ -133,18 +134,17 @@ type Options struct {
 type task struct {
 	index     int
 	job       sweep.Job
-	sweepID   string // owning submitted sweep ("" for direct Execute jobs)
+	sweepID   string // owning submitted sweep
 	attempts  int
 	leaseID   string        // non-empty while leased
 	deadline  time.Time     // lease expiry while leased
 	enqueued  time.Time     // when the job entered the queue (queue-wait span)
 	granted   time.Time     // most recent lease grant (report-overhead span)
-	done      chan outcome  // terminal outcome for Execute callers (nil when deliver is set)
-	deliver   func(outcome) // terminal outcome for submitted sweeps (nil for Execute tasks)
+	deliver   func(outcome) // receives the terminal outcome
 	elem      *list.Element // position in pending while queued
-	expired   []string      // this task's entries in Coordinator.expired
+	expired   []string      // this task's entries in coordinator.expired
 	completed bool          // outcome delivered (exactly once)
-	cancelled bool          // Execute abandoned the job (ctx cancellation)
+	cancelled bool          // the owning sweep was closed or abandoned
 
 	worker    string         // base worker id of the most recent grant
 	incidents []taskIncident // contained failures reported against this job
@@ -158,19 +158,13 @@ type outcome struct {
 }
 
 // finish hands the task its terminal outcome, exactly once. Callers must
-// not hold Coordinator.mu: deliver may take sweep-level locks.
-func (t *task) finish(out outcome) {
-	if t.deliver != nil {
-		t.deliver(out)
-		return
-	}
-	t.done <- out
-}
+// not hold coordinator.mu: deliver may take sweep-level locks.
+func (t *task) finish(out outcome) { t.deliver(out) }
 
-// Coordinator queues jobs from Execute calls and leases them to polling
-// workers. It is safe for concurrent use: sweep.Run calls Execute from its
-// worker pool while the HTTP handlers serve workers.
-type Coordinator struct {
+// coordinator queues the jobs of a Server's sweeps and leases them to
+// polling workers. It is safe for concurrent use: sweep handlers enqueue
+// and abandon while the worker handlers lease and complete.
+type coordinator struct {
 	opts Options
 
 	// observe, when non-nil, receives every completed result (with its
@@ -215,8 +209,8 @@ type Coordinator struct {
 	hedgeThrAt time.Time
 }
 
-// NewCoordinator builds a coordinator with defaults applied.
-func NewCoordinator(opts Options) *Coordinator {
+// newCoordinator builds a coordinator with defaults applied.
+func newCoordinator(opts Options) *coordinator {
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 2 * time.Minute
 	}
@@ -235,7 +229,7 @@ func NewCoordinator(opts Options) *Coordinator {
 	if opts.now == nil {
 		opts.now = time.Now
 	}
-	return &Coordinator{
+	return &coordinator{
 		opts:    opts,
 		pending: list.New(),
 		leases:  make(map[string]*task),
@@ -244,56 +238,21 @@ func NewCoordinator(opts Options) *Coordinator {
 	}
 }
 
-// Execute implements sweep.Executor: it queues the job for the worker
-// fleet and blocks until a worker reports its result, the job exhausts its
-// lease attempts, or ctx is cancelled. The bound on concurrently queued
-// jobs is sweep.Options.Workers — size it to the fleet's total capacity.
-func (c *Coordinator) Execute(ctx context.Context, index int, j sweep.Job) (*core.Results, error) {
-	res, _, err := c.ExecuteTimed(ctx, index, j)
-	return res, err
-}
-
-// ExecuteTimed is Execute returning the coordinator-stamped span breakdown
-// (nil when the reporting worker sent none), so sweep.Run records Timing
-// for `-serve` sweeps too.
-func (c *Coordinator) ExecuteTimed(ctx context.Context, index int, j sweep.Job) (*core.Results, *sweep.Timing, error) {
-	t := c.enqueue(index, j, "", nil)
-
-	select {
-	case out := <-t.done:
-		return out.res, out.timing, out.err
-	case <-ctx.Done():
-		c.abandon(t)
-		// A result may have raced the cancellation; prefer it.
-		select {
-		case out := <-t.done:
-			return out.res, out.timing, out.err
-		default:
-			return nil, nil, ctx.Err()
-		}
-	}
-}
-
-// enqueue queues one job for the worker fleet and returns its task. When
-// deliver is non-nil the terminal outcome goes to it (called without c.mu
-// held); otherwise the task carries a buffered channel for Execute.
-// sweepID labels the owning submitted sweep in lease responses ("" for
-// direct Execute jobs).
-func (c *Coordinator) enqueue(index int, j sweep.Job, sweepID string, deliver func(outcome)) *task {
+// enqueue queues one job of sweep sweepID for the worker fleet and returns
+// its task; the terminal outcome goes to deliver (called without c.mu
+// held).
+func (c *coordinator) enqueue(index int, j sweep.Job, sweepID string, deliver func(outcome)) *task {
 	t := &task{index: index, job: j, sweepID: sweepID, deliver: deliver, enqueued: c.opts.now()}
-	if deliver == nil {
-		t.done = make(chan outcome, 1)
-	}
 	c.mu.Lock()
 	t.elem = c.pending.PushBack(t)
 	c.mu.Unlock()
 	return t
 }
 
-// abandon withdraws a cancelled task from the queue, the lease table and
-// the expired-lease index; a late worker report for it gets 409 and is
-// discarded.
-func (c *Coordinator) abandon(t *task) {
+// abandon withdraws the task of a closed or abandoned sweep from the
+// queue, the lease table and the expired-lease index; a late worker report
+// for it gets 409 and is discarded.
+func (c *coordinator) abandon(t *task) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t.cancelled = true
@@ -312,7 +271,7 @@ func (c *Coordinator) abandon(t *task) {
 // reaches a terminal state — completed, failed, or abandoned — a late
 // result can no longer be used, and keeping the entries would leak one per
 // lease expiry for the life of a persistent coordinator.
-func (c *Coordinator) purgeExpiredLocked(t *task) {
+func (c *coordinator) purgeExpiredLocked(t *task) {
 	for _, id := range t.expired {
 		delete(c.expired, id)
 	}
@@ -324,7 +283,7 @@ func (c *Coordinator) purgeExpiredLocked(t *task) {
 // those after releasing c.mu. It runs under c.mu on each lease poll: expiry
 // needs no timer goroutine, because a lost job only matters when some
 // worker is alive to take it.
-func (c *Coordinator) requeueExpiredLocked(now time.Time) (exhausted []*task) {
+func (c *coordinator) requeueExpiredLocked(now time.Time) (exhausted []*task) {
 	for id, t := range c.leases {
 		if now.Before(t.deadline) {
 			continue
@@ -354,7 +313,7 @@ func (c *Coordinator) requeueExpiredLocked(now time.Time) (exhausted []*task) {
 
 // drain stops lease grants; results for already-granted leases are still
 // accepted.
-func (c *Coordinator) drain() { c.draining.Store(true) }
+func (c *coordinator) drain() { c.draining.Store(true) }
 
 // lease hands the oldest pending job to a worker (none while draining).
 // worker labels the lease id (free-form, typically "id/loop"); base is the
@@ -364,7 +323,7 @@ func (c *Coordinator) drain() { c.draining.Store(true) }
 // grant-to-anyone behavior instead of stalling. When the queue is empty
 // but leases remain, the poll may hedge a stalled tail lease (see
 // maybeHedgeLocked) and immediately grant the duplicate.
-func (c *Coordinator) lease(worker, base string) (LeaseResponse, bool) {
+func (c *coordinator) lease(worker, base string) (LeaseResponse, bool) {
 	if c.draining.Load() {
 		return LeaseResponse{}, false
 	}
@@ -423,7 +382,7 @@ func (c *Coordinator) lease(worker, base string) (LeaseResponse, bool) {
 // loser's gets 409 and is discarded, so output stays byte-identical) and
 // the task re-enters the queue front for the polling worker to take.
 // Caller holds c.mu and has verified the queue is empty.
-func (c *Coordinator) maybeHedgeLocked(now time.Time) {
+func (c *coordinator) maybeHedgeLocked(now time.Time) {
 	if len(c.leases) == 0 {
 		return
 	}
@@ -459,7 +418,7 @@ func (c *Coordinator) maybeHedgeLocked(now time.Time) {
 // hedgeThresholdLocked returns the lease age beyond which a tail lease is
 // hedged (0 disables). An explicit HedgeAfter wins; the adaptive default
 // needs a sample base and recomputes its quantile at most once a second.
-func (c *Coordinator) hedgeThresholdLocked(now time.Time) time.Duration {
+func (c *coordinator) hedgeThresholdLocked(now time.Time) time.Duration {
 	if c.opts.HedgeAfter != 0 {
 		return c.opts.HedgeAfter // negative disables
 	}
@@ -484,7 +443,7 @@ func (c *Coordinator) hedgeThresholdLocked(now time.Time) time.Duration {
 
 // recordDurationLocked feeds one completed lease's grant-to-report
 // duration into the hedge sample ring. Caller holds c.mu.
-func (c *Coordinator) recordDurationLocked(d time.Duration) {
+func (c *coordinator) recordDurationLocked(d time.Duration) {
 	if d <= 0 {
 		return
 	}
@@ -502,7 +461,7 @@ func (c *Coordinator) recordDurationLocked(d time.Duration) {
 // lease, a cancelled job, or a job already completed; the worker discards
 // the result. base, when non-empty, credits the reporting worker's health
 // record and refreshes its liveness clock.
-func (c *Coordinator) complete(leaseID string, r sweep.Result, base string) bool {
+func (c *coordinator) complete(leaseID string, r sweep.Result, base string) bool {
 	c.mu.Lock()
 	now := c.opts.now()
 	if wh := c.touchWorkerLocked(base, now); wh != nil {
@@ -537,8 +496,9 @@ func (c *Coordinator) complete(leaseID string, r sweep.Result, base string) bool
 			// breakdown: queue wait (enqueue to the completing lease's grant)
 			// and report overhead (grant-to-report round trip net of the time
 			// the worker accounted for itself, clamped — clock skew and
-			// requeued leases can make the difference negative). A worker
-			// that sent no Timing predates the field; its result stays bare.
+			// requeued leases can make the difference negative). A result
+			// without Timing stays bare: a worker whose Exec is not a
+			// sweep.TimedExecutor sends none.
 			tm := *r.Timing
 			tm.QueueNS = int64(t.granted.Sub(t.enqueued))
 			tm.ReportNS = max(int64(now.Sub(t.granted))-tm.SimulateNS-tm.CacheNS, 0)
@@ -563,7 +523,7 @@ func (c *Coordinator) complete(leaseID string, r sweep.Result, base string) bool
 // workers), or fails (attempt bound reached). It returns false only for a
 // lease id the coordinator has never heard of; an incident against a job
 // that already completed is accepted as worker-ledger bookkeeping.
-func (c *Coordinator) incident(leaseID string, inc taskIncident) bool {
+func (c *coordinator) incident(leaseID string, inc taskIncident) bool {
 	var finish *task
 	var finishErr error
 	c.mu.Lock()
@@ -621,7 +581,7 @@ func (c *Coordinator) incident(leaseID string, inc taskIncident) bool {
 // quarantineLocked completes a task as poison: it is withdrawn from the
 // queue, the lease table and the expired index, and counted. Caller holds
 // c.mu and must call finish (with quarantineError) after releasing it.
-func (c *Coordinator) quarantineLocked(t *task) {
+func (c *coordinator) quarantineLocked(t *task) {
 	if t.elem != nil {
 		c.pending.Remove(t.elem)
 		t.elem = nil
@@ -639,7 +599,7 @@ func (c *Coordinator) quarantineLocked(t *task) {
 // reporting true when the history already crosses the quarantine
 // threshold — the task has then been withdrawn and the caller must finish
 // it with quarantineFinish after releasing sweep-level locks.
-func (c *Coordinator) seedIncidents(t *task, hist []taskIncident) bool {
+func (c *coordinator) seedIncidents(t *task, hist []taskIncident) bool {
 	if len(hist) == 0 {
 		return false
 	}
@@ -654,15 +614,15 @@ func (c *Coordinator) seedIncidents(t *task, hist []taskIncident) bool {
 }
 
 // quarantineFinish delivers the deterministic quarantine outcome for a
-// task seedIncidents withdrew. Callers must not hold Coordinator.mu or the
+// task seedIncidents withdrew. Callers must not hold coordinator.mu or the
 // owning sweep's mutex.
-func (c *Coordinator) quarantineFinish(t *task) {
+func (c *coordinator) quarantineFinish(t *task) {
 	t.finish(outcome{err: quarantineError(t, distinctIncidentWorkersLocked(t))})
 }
 
 // incidentHistory returns a copy of the incidents recorded against a task,
 // for snapshotting live state on graceful shutdown.
-func (c *Coordinator) incidentHistory(t *task) []taskIncident {
+func (c *coordinator) incidentHistory(t *task) []taskIncident {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]taskIncident(nil), t.incidents...)
@@ -670,7 +630,7 @@ func (c *Coordinator) incidentHistory(t *task) []taskIncident {
 
 // heartbeat refreshes a worker's registry entry outside the lease path: a
 // worker saturated with long jobs stops polling but keeps beating.
-func (c *Coordinator) heartbeat(hb HeartbeatRequest) {
+func (c *coordinator) heartbeat(hb HeartbeatRequest) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.opts.now()
@@ -682,7 +642,7 @@ func (c *Coordinator) heartbeat(hb HeartbeatRequest) {
 }
 
 // Stats snapshots the coordinator accounting.
-func (c *Coordinator) Stats() Snapshot {
+func (c *coordinator) Stats() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.opts.now()
@@ -705,26 +665,10 @@ func (c *Coordinator) Stats() Snapshot {
 // included) is well under 1 MiB.
 const maxBody = 32 << 20
 
-// Handler returns the coordinator's worker-facing HTTP surface, without
-// authentication — the in-process `safespec-bench -serve` degenerate case
-// wraps these same handlers in a Server, which adds the sweep-submission
-// API and bearer-token auth.
-func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/lease", c.handleLease)
-	mux.HandleFunc("POST /v1/result", c.handleResult)
-	mux.HandleFunc("POST /v1/incident", c.handleIncident)
-	mux.HandleFunc("POST /v1/heartbeat", c.handleHeartbeat)
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, c.Stats())
-	})
-	return mux
-}
-
 // decodeWorkerJSON is decodeJSON for worker-facing endpoints: a checksum
 // mismatch is additionally attributed to the worker named in the request
 // header (the body itself is unreadable by definition).
-func (c *Coordinator) decodeWorkerJSON(w http.ResponseWriter, req *http.Request, v any) bool {
+func (c *coordinator) decodeWorkerJSON(w http.ResponseWriter, req *http.Request, v any) bool {
 	ok, sumFail := decodeJSONSum(w, req, v)
 	if sumFail {
 		c.noteChecksumFailure(req.Header.Get(workerHeader))
@@ -733,8 +677,8 @@ func (c *Coordinator) decodeWorkerJSON(w http.ResponseWriter, req *http.Request,
 }
 
 // reqWorker resolves the worker's registry identity for a request: the
-// worker header when present, fallback otherwise (older workers send only
-// their per-loop lease label).
+// worker header when present, fallback (the body's worker label)
+// otherwise, for raw HTTP clients that send no header.
 func reqWorker(req *http.Request, fallback string) string {
 	if id := req.Header.Get(workerHeader); id != "" {
 		return id
@@ -742,7 +686,7 @@ func reqWorker(req *http.Request, fallback string) string {
 	return fallback
 }
 
-func (c *Coordinator) handleLease(w http.ResponseWriter, req *http.Request) {
+func (c *coordinator) handleLease(w http.ResponseWriter, req *http.Request) {
 	var lr LeaseRequest
 	if !c.decodeWorkerJSON(w, req, &lr) {
 		return
@@ -755,7 +699,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, resp)
 }
 
-func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
+func (c *coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 	var rr ResultRequest
 	if !c.decodeWorkerJSON(w, req, &rr) {
 		return
@@ -773,7 +717,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 	w.WriteHeader(http.StatusOK)
 }
 
-func (c *Coordinator) handleIncident(w http.ResponseWriter, req *http.Request) {
+func (c *coordinator) handleIncident(w http.ResponseWriter, req *http.Request) {
 	var ir IncidentRequest
 	if !c.decodeWorkerJSON(w, req, &ir) {
 		return
@@ -794,7 +738,7 @@ func (c *Coordinator) handleIncident(w http.ResponseWriter, req *http.Request) {
 	w.WriteHeader(http.StatusOK)
 }
 
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
+func (c *coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 	var hb HeartbeatRequest
 	if !c.decodeWorkerJSON(w, req, &hb) {
 		return
@@ -811,8 +755,8 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) 
 // sumHeader carries a CRC32-IEEE checksum (lowercase hex) of the JSON
 // body, on requests and responses alike. TCP checksums are weak and a
 // fault-injecting proxy (or chaos test) can flip a byte that still parses
-// as valid JSON — silently corrupting a result. Peers that predate the
-// header simply omit it and are accepted unverified.
+// as valid JSON — silently corrupting a result. A request without the
+// header is accepted unverified: the CI curl steps post without it.
 const sumHeader = "X-Safespec-Sum"
 
 func bodySum(b []byte) string {

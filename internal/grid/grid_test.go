@@ -58,6 +58,31 @@ func startWorkers(t testing.TB, url string, n int) (stop func()) {
 	}
 }
 
+// doJSON sends one request through the grid client and returns its HTTP
+// status. The error covers transport and decoding failures only, so a test
+// can assert on any status, 401, 429 and 5xx included.
+func doJSON(ctx context.Context, hc *http.Client, method, url, token string, in, out any) (int, error) {
+	status, err := client{token: token, http: hc}.do(ctx, method, url, in, out)
+	if status >= 400 {
+		err = nil
+	}
+	return status, err
+}
+
+// startGrid serves a fresh Server on a loopback listener and returns it
+// with a RemoteExecutor pointed at it; both are torn down with the test.
+func startGrid(t testing.TB, opts ServerOptions) (*Server, *httptest.Server, *RemoteExecutor) {
+	t.Helper()
+	server := NewServer(opts)
+	srv := httptest.NewServer(server.Handler())
+	re := &RemoteExecutor{URL: srv.URL, Token: opts.Token, PollWait: 200 * time.Millisecond}
+	t.Cleanup(func() {
+		re.Close()
+		srv.Close()
+	})
+	return server, srv, re
+}
+
 // TestGridEndToEnd is the acceptance property: a sweep executed by two
 // worker processes over HTTP produces byte-identical JSONL/CSV output and
 // identical aggregate accounting to a local run.
@@ -80,13 +105,11 @@ func TestGridEndToEnd(t *testing.T) {
 
 	local, localAgg := runWith(nil, 0)
 
-	coord := NewCoordinator(Options{})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
+	server, srv, re := startGrid(t, ServerOptions{})
 	stop := startWorkers(t, srv.URL, 2)
 	defer stop()
 
-	remote, remoteAgg := runWith(coord, len(jobs))
+	remote, remoteAgg := runWith(re, len(jobs))
 
 	if local != remote {
 		t.Errorf("distributed sink output differs from local:\n%s\nvs\n%s", local, remote)
@@ -95,7 +118,7 @@ func TestGridEndToEnd(t *testing.T) {
 		localAgg.Committed != remoteAgg.Committed || localAgg.Cycles != remoteAgg.Cycles {
 		t.Errorf("aggregate accounting differs: local %+v vs remote %+v", localAgg, remoteAgg)
 	}
-	s := coord.Stats()
+	s := server.Stats()
 	if s.Completed != uint64(len(jobs)) || s.Pending != 0 || s.Leased != 0 {
 		t.Errorf("coordinator accounting off: %+v", s)
 	}
@@ -108,9 +131,7 @@ func TestGridJobErrorTravels(t *testing.T) {
 	jobs := smallJobs(t, "exchange2")
 	jobs = append(jobs, sweep.Job{Bench: "no-such-bench", Mode: "baseline"})
 
-	coord := NewCoordinator(Options{})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
+	_, srv, re := startGrid(t, ServerOptions{})
 	stop := startWorkers(t, srv.URL, 1)
 	defer stop()
 
@@ -120,7 +141,7 @@ func TestGridJobErrorTravels(t *testing.T) {
 		t.Fatal(err)
 	}
 	results, err := sweep.Run(context.Background(), jobs, sweep.Options{
-		Workers: len(jobs), Executor: coord,
+		Workers: len(jobs), Executor: re,
 		Sinks: []sweep.Sink{sweep.NewJSONL(&remote)},
 	})
 	if err != nil {
@@ -136,23 +157,32 @@ func TestGridJobErrorTravels(t *testing.T) {
 }
 
 // leaseOne acts as a crashing worker: it takes one lease over raw HTTP and
-// never reports a result.
+// never reports a result. An empty queue (204) is polled until a job
+// arrives, so it may race a sweep submission still in flight.
 func leaseOne(t *testing.T, url string) LeaseResponse {
 	t.Helper()
-	body, _ := json.Marshal(LeaseRequest{Worker: "crasher"})
-	resp, err := http.Post(url+"/v1/lease", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		body, _ := json.Marshal(LeaseRequest{Worker: "crasher"})
+		resp, err := http.Post(url+"/v1/lease", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode == http.StatusNoContent && time.Now().Before(deadline) {
+			resp.Body.Close()
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("lease status %d", resp.StatusCode)
+		}
+		var lr LeaseResponse
+		if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
+			t.Fatal(err)
+		}
+		return lr
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("lease status %d", resp.StatusCode)
-	}
-	var lr LeaseResponse
-	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
-		t.Fatal(err)
-	}
-	return lr
 }
 
 // TestLeaseLostRequeues is the worker-crash path: a lease that never
@@ -161,13 +191,11 @@ func leaseOne(t *testing.T, url string) LeaseResponse {
 func TestLeaseLostRequeues(t *testing.T) {
 	jobs := smallJobs(t, "exchange2")[:1]
 
-	coord := NewCoordinator(Options{LeaseTTL: 50 * time.Millisecond})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
+	server, srv, re := startGrid(t, ServerOptions{Lease: Options{LeaseTTL: 50 * time.Millisecond}})
 
 	done := make(chan []sweep.Result, 1)
 	go func() {
-		results, err := sweep.Run(context.Background(), jobs, sweep.Options{Executor: coord})
+		results, err := sweep.Run(context.Background(), jobs, sweep.Options{Executor: re})
 		if err != nil {
 			t.Error(err)
 		}
@@ -194,7 +222,7 @@ func TestLeaseLostRequeues(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("requeued job never completed")
 	}
-	if s := coord.Stats(); s.Requeued == 0 {
+	if s := server.Stats(); s.Requeued == 0 {
 		t.Errorf("lease loss not accounted: %+v", s)
 	}
 	// The crasher's stale lease must be rejected if it reports now (with a
@@ -216,13 +244,11 @@ func TestLeaseLostRequeues(t *testing.T) {
 // forever.
 func TestLeaseExhaustionFailsJob(t *testing.T) {
 	jobs := smallJobs(t, "exchange2")[:1]
-	coord := NewCoordinator(Options{LeaseTTL: time.Millisecond, MaxAttempts: 2})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
+	server, srv, re := startGrid(t, ServerOptions{Lease: Options{LeaseTTL: time.Millisecond, MaxAttempts: 2}})
 
 	done := make(chan []sweep.Result, 1)
 	go func() {
-		results, err := sweep.Run(context.Background(), jobs, sweep.Options{Executor: coord})
+		results, err := sweep.Run(context.Background(), jobs, sweep.Options{Executor: re})
 		if err != nil {
 			t.Error(err)
 		}
@@ -238,7 +264,7 @@ func TestLeaseExhaustionFailsJob(t *testing.T) {
 			if results[0].Err == nil || !strings.Contains(results[0].Err.Error(), "lease lost") {
 				t.Fatalf("want lease-exhaustion error, got %v", results[0].Err)
 			}
-			if s := coord.Stats(); s.Failed != 1 {
+			if s := server.Stats(); s.Failed != 1 {
 				t.Errorf("failure not accounted: %+v", s)
 			}
 			return
@@ -257,25 +283,32 @@ func TestLeaseExhaustionFailsJob(t *testing.T) {
 }
 
 // TestExecuteCancellation checks that a cancelled sweep abandons its queued
-// jobs: Execute returns the context error and a worker reporting the
-// abandoned lease is turned away.
+// jobs: Execute returns the context error, closing the executor withdraws
+// the job from the server, and a worker reporting the abandoned lease is
+// turned away.
 func TestExecuteCancellation(t *testing.T) {
-	coord := NewCoordinator(Options{})
+	server, srv, re := startGrid(t, ServerOptions{})
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := coord.Execute(ctx, 0, sweep.Job{Bench: "exchange2", Mode: "baseline", Config: core.Baseline()})
+		_, err := re.Execute(ctx, 0, sweep.Job{Bench: "exchange2", Mode: "baseline", Config: core.Baseline()})
 		errc <- err
 	}()
-	for coord.Stats().Pending == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	lease := leaseOne(t, srv.URL)
 	cancel()
 	if err := <-errc; err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if s := coord.Stats(); s.Pending != 0 || s.Leased != 0 {
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s := server.Stats(); s.Pending != 0 || s.Leased != 0 {
 		t.Errorf("abandoned job still tracked: %+v", s)
+	}
+	status, err := doJSON(context.Background(), srv.Client(), http.MethodPost, srv.URL+"/v1/result", "",
+		ResultRequest{LeaseID: lease.LeaseID, Result: sweep.Result{Index: 0, Job: lease.Job, Err: errors.New("late")}}, nil)
+	if err != nil || status != http.StatusConflict {
+		t.Errorf("abandoned lease report: status %d, err %v; want 409", status, err)
 	}
 }
 
@@ -284,13 +317,11 @@ func TestExecuteCancellation(t *testing.T) {
 // nil dereference in the sinks.
 func TestEmptyResultRejected(t *testing.T) {
 	jobs := smallJobs(t, "exchange2")[:1]
-	coord := NewCoordinator(Options{})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
+	server, srv, re := startGrid(t, ServerOptions{})
 
 	done := make(chan []sweep.Result, 1)
 	go func() {
-		results, err := sweep.Run(context.Background(), jobs, sweep.Options{Executor: coord})
+		results, err := sweep.Run(context.Background(), jobs, sweep.Options{Executor: re})
 		if err != nil {
 			t.Error(err)
 		}
@@ -309,11 +340,11 @@ func TestEmptyResultRejected(t *testing.T) {
 	// The lease stays live; a healthy worker completes the job normally.
 	stop := startWorkers(t, srv.URL, 1)
 	defer stop()
-	coord.mu.Lock()
-	if t2, ok := coord.leases[lease.LeaseID]; ok {
+	server.coord.mu.Lock()
+	if t2, ok := server.coord.leases[lease.LeaseID]; ok {
 		t2.deadline = time.Now() // hand it over immediately
 	}
-	coord.mu.Unlock()
+	server.coord.mu.Unlock()
 	select {
 	case results := <-done:
 		if results[0].Err != nil || results[0].Res == nil {

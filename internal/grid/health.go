@@ -105,7 +105,7 @@ const (
 	workerForget = time.Hour
 )
 
-// workerHealth is one worker's registry entry, guarded by Coordinator.mu.
+// workerHealth is one worker's registry entry, guarded by coordinator.mu.
 type workerHealth struct {
 	firstSeen time.Time
 	lastSeen  time.Time // any contact: lease poll, heartbeat, result, incident
@@ -157,9 +157,9 @@ type WorkerHealthSnapshot struct {
 
 // touchWorkerLocked returns the registry entry for a worker id, creating
 // it on first contact and refreshing its liveness clock. Caller holds c.mu;
-// an empty id (a client that predates the worker header and sent no worker
+// an empty id (a client that sent neither the worker header nor a worker
 // label) is not tracked.
-func (c *Coordinator) touchWorkerLocked(id string, now time.Time) *workerHealth {
+func (c *coordinator) touchWorkerLocked(id string, now time.Time) *workerHealth {
 	if id == "" {
 		return nil
 	}
@@ -175,7 +175,7 @@ func (c *Coordinator) touchWorkerLocked(id string, now time.Time) *workerHealth 
 
 // penalizeLocked adds points to a worker's decaying score. Caller holds
 // c.mu; a nil entry (untracked worker) is a no-op.
-func (c *Coordinator) penalizeLocked(wh *workerHealth, points float64, now time.Time) {
+func (c *coordinator) penalizeLocked(wh *workerHealth, points float64, now time.Time) {
 	if wh == nil {
 		return
 	}
@@ -184,7 +184,7 @@ func (c *Coordinator) penalizeLocked(wh *workerHealth, points float64, now time.
 }
 
 // healthyLocked is the lease-grant gate for one worker.
-func (c *Coordinator) healthyLocked(wh *workerHealth, now time.Time) bool {
+func (c *coordinator) healthyLocked(wh *workerHealth, now time.Time) bool {
 	if wh == nil {
 		return true // untracked pollers are not refused
 	}
@@ -195,7 +195,7 @@ func (c *Coordinator) healthyLocked(wh *workerHealth, now time.Time) bool {
 // both healthy and recently in contact. It gates every refusal decision:
 // deprioritizing a sick worker only makes sense while someone else can
 // take the work, otherwise the queue would stall on a degraded fleet.
-func (c *Coordinator) anyOtherHealthyLocked(except string, now time.Time) bool {
+func (c *coordinator) anyOtherHealthyLocked(except string, now time.Time) bool {
 	for id, wh := range c.workers {
 		if id == except {
 			continue
@@ -209,9 +209,9 @@ func (c *Coordinator) anyOtherHealthyLocked(except string, now time.Time) bool {
 
 // noteChecksumFailure attributes one damaged-in-transit request body to a
 // worker's health record. The body is unparseable by definition, so the
-// attribution rides the workerHeader alone; requests without it (old
-// workers, clients) go unattributed.
-func (c *Coordinator) noteChecksumFailure(id string) {
+// attribution rides the workerHeader alone; requests without it (sweep
+// clients, raw HTTP tools) go unattributed.
+func (c *coordinator) noteChecksumFailure(id string) {
 	if id == "" {
 		return
 	}
@@ -225,7 +225,7 @@ func (c *Coordinator) noteChecksumFailure(id string) {
 
 // pruneWorkersLocked forgets registry entries idle past workerForget, at
 // most once a minute. Caller holds c.mu.
-func (c *Coordinator) pruneWorkersLocked(now time.Time) {
+func (c *coordinator) pruneWorkersLocked(now time.Time) {
 	if now.Sub(c.lastPrune) < time.Minute {
 		return
 	}
@@ -239,7 +239,7 @@ func (c *Coordinator) pruneWorkersLocked(now time.Time) {
 
 // workerSnapshotsLocked renders the registry for Stats, sorted by id.
 // Caller holds c.mu.
-func (c *Coordinator) workerSnapshotsLocked(now time.Time) []WorkerHealthSnapshot {
+func (c *coordinator) workerSnapshotsLocked(now time.Time) []WorkerHealthSnapshot {
 	if len(c.workers) == 0 {
 		return nil
 	}

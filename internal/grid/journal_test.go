@@ -322,13 +322,12 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			// job must be exactly one of the two.
 			completed, pending := 0, 0
 			for idx, sl := range st.slots {
-				select {
-				case <-sl.ready:
+				if sl.res != nil {
 					completed++
 					if !seen[idx] {
 						t.Fatalf("slot %d completed but absent from the log", idx)
 					}
-				default:
+				} else {
 					pending++
 					if seen[idx] {
 						t.Fatalf("slot %d is pending but already logged", idx)

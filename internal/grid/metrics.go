@@ -14,7 +14,7 @@ import (
 // call per scrape, through the registry's OnCollect hook — so their values
 // are exactly what /v1/stats reports. The span histograms are live: the
 // coordinator's completion path observes every reported job's Timing, and
-// it also wires that path up here (via Coordinator.observe).
+// it also wires that path up here (via coordinator.observe).
 func (s *Server) newRegistry() *obs.Registry {
 	reg := obs.NewRegistry()
 

@@ -1,15 +1,13 @@
 package grid
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"crypto/tls"
 	"crypto/x509"
 	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -76,11 +74,31 @@ type RemoteExecutor struct {
 // must stay well under the client timeout below.
 const defaultPollWait = 25 * time.Second
 
-func (r *RemoteExecutor) client() *http.Client {
-	if r.Client != nil {
-		return r.Client
+// wire returns the executor's grid client.
+func (r *RemoteExecutor) wire() client {
+	hc := r.Client
+	if hc == nil {
+		hc = defaultRemoteClient
 	}
-	return defaultRemoteClient
+	return client{base: r.URL, token: r.Token, http: hc, log: r.log(), sleep: sleep}
+}
+
+// remoteRetry is the executor's backoff schedule, run for 8 attempts.
+var remoteRetry = backoff.Policy{Base: 250 * time.Millisecond, Cap: 5 * time.Second}
+
+// call sends one request on the executor's retry schedule: transport
+// faults and 5xx (a coordinator or fronting proxy mid-restart) and 429 (a
+// tenant merely being paced) must not fail a sweep.
+func (r *RemoteExecutor) call(ctx context.Context, method, path string, in, out any) (int, error) {
+	return r.wire().call(ctx, remoteRetry, 8, method, path, in, out)
+}
+
+// wantOK turns a final status other than 200 into its error.
+func wantOK(status int, err error) error {
+	if err == nil && status != http.StatusOK {
+		err = statusErr(status)
+	}
+	return err
 }
 
 var defaultRemoteClient = &http.Client{Timeout: 90 * time.Second}
@@ -120,7 +138,7 @@ func (r *RemoteExecutor) log() *slog.Logger {
 	if r.Log != nil {
 		return r.Log
 	}
-	return slog.New(slog.DiscardHandler)
+	return discardLog
 }
 
 // Submit implements sweep.Submitter: it opens a sweep on the coordinator
@@ -165,15 +183,8 @@ func (r *RemoteExecutor) nonceLocked() string {
 // POST idempotent: if an attempt landed but its response was lost, the
 // coordinator hands back the existing sweep instead of double-running it.
 func (r *RemoteExecutor) openSweep(ctx context.Context, jobs []sweep.Job, nonce string) (SubmitResponse, error) {
-	req := SubmitRequest{Jobs: jobs, Nonce: nonce}
 	var resp SubmitResponse
-	status, err := r.retry(ctx, func() (int, http.Header, error) {
-		return doJSONHdr(ctx, r.client(), http.MethodPost, r.URL+"/v1/sweeps", r.Token,
-			req, &resp)
-	})
-	if err == nil && status != http.StatusOK {
-		err = statusErr(status)
-	}
+	err := wantOK(r.call(ctx, http.MethodPost, "/v1/sweeps", SubmitRequest{Jobs: jobs, Nonce: nonce}, &resp))
 	return resp, err
 }
 
@@ -185,8 +196,9 @@ func (r *RemoteExecutor) Execute(ctx context.Context, index int, j sweep.Job) (*
 }
 
 // ExecuteTimed is Execute returning the streamed result's span breakdown
-// (stamped by the coordinator and the reporting worker; nil when either
-// predates timing), so sweep.Run records Timing for remote sweeps.
+// (stamped by the coordinator and the reporting worker; nil when the
+// worker's executor is not a sweep.TimedExecutor), so sweep.Run records
+// Timing for remote sweeps.
 func (r *RemoteExecutor) ExecuteTimed(ctx context.Context, index int, j sweep.Job) (*core.Results, *sweep.Timing, error) {
 	id, err := r.ensure(ctx, index, j)
 	if err != nil {
@@ -254,7 +266,7 @@ const maxStreamRecoveries = 5
 // stream long-polls the sweep's result batches and dispatches each result
 // to the Execute call waiting on its index (or parks it for an Execute yet
 // to ask). It exits on Close's cancellation or a terminal coordinator
-// answer; transport faults, 5xx and 429 are ridden out by retry, and a
+// answer; transport faults, 5xx and 429 are ridden out by call, and a
 // coordinator restart (404 for the sweep id, or a connection that stays
 // refused past the retry budget) is ridden out by re-resolving the sweep
 // through its submission nonce and resuming the batch cursor.
@@ -284,16 +296,14 @@ func (r *RemoteExecutor) stream(ctx context.Context, id string, end chan struct{
 		return true
 	}
 	for {
-		url := fmt.Sprintf("%s/v1/sweeps/%s/results?after=%d&wait=%s", r.URL, id, after, wait)
 		var batch ResultBatch
-		status, err := r.retry(ctx, func() (int, http.Header, error) {
-			return doJSONHdr(ctx, r.client(), http.MethodGet, url, r.Token, nil, &batch)
-		})
+		status, err := r.call(ctx, http.MethodGet,
+			fmt.Sprintf("/v1/sweeps/%s/results?after=%d&wait=%s", id, after, wait), nil, &batch)
 		switch {
 		case ctx.Err() != nil:
 			r.setStreamErr(fmt.Errorf("stream stopped: %w", ctx.Err()))
 			return
-		case err != nil:
+		case err != nil && !errors.Is(err, errUnauthorized):
 			// The retry budget is exhausted — the shape of a coordinator
 			// down for longer than a blip. Re-resolving retries the
 			// connection again and re-establishes the sweep if the process
@@ -359,14 +369,7 @@ func (r *RemoteExecutor) reresolve(ctx context.Context, lostID string) (string, 
 		return "", fmt.Errorf("sweep %s has no submission nonce to recover by", lostID)
 	}
 	var resp SubmitResponse
-	status, err := r.retry(ctx, func() (int, http.Header, error) {
-		return doJSONHdr(ctx, r.client(), http.MethodPost, r.URL+"/v1/sweeps", r.Token,
-			SubmitRequest{Nonce: nonce}, &resp)
-	})
-	if err == nil && status != http.StatusOK {
-		err = statusErr(status)
-	}
-	if err != nil {
+	if err := wantOK(r.call(ctx, http.MethodPost, "/v1/sweeps", SubmitRequest{Nonce: nonce}, &resp)); err != nil {
 		return "", fmt.Errorf("re-resolve by nonce: %w", err)
 	}
 	indexes := make([]int, 0, len(jobs))
@@ -375,15 +378,8 @@ func (r *RemoteExecutor) reresolve(ctx context.Context, lostID string) (string, 
 	}
 	sort.Ints(indexes)
 	for _, i := range indexes {
-		status, err := r.retry(ctx, func() (int, http.Header, error) {
-			return doJSONHdr(ctx, r.client(), http.MethodPost,
-				fmt.Sprintf("%s/v1/sweeps/%s/jobs", r.URL, resp.SweepID), r.Token,
-				JobRequest{Index: i, Job: jobs[i]}, nil)
-		})
-		if err == nil && status != http.StatusOK {
-			err = statusErr(status)
-		}
-		if err != nil {
+		if err := wantOK(r.call(ctx, http.MethodPost, "/v1/sweeps/"+resp.SweepID+"/jobs",
+			JobRequest{Index: i, Job: jobs[i]}, nil)); err != nil {
 			return "", fmt.Errorf("re-submit job %d: %w", i, err)
 		}
 	}
@@ -462,11 +458,7 @@ func (r *RemoteExecutor) ensure(ctx context.Context, index int, j sweep.Job) (st
 		// the current id. Bounded — each pass either succeeds, recovers, or
 		// returns the terminal error.
 		for pass := 0; ; pass++ {
-			status, err := r.retry(ctx, func() (int, http.Header, error) {
-				return doJSONHdr(ctx, r.client(), http.MethodPost,
-					fmt.Sprintf("%s/v1/sweeps/%s/jobs", r.URL, id), r.Token,
-					JobRequest{Index: index, Job: j}, nil)
-			})
+			status, err := r.call(ctx, http.MethodPost, "/v1/sweeps/"+id+"/jobs", JobRequest{Index: index, Job: j}, nil)
 			if err == nil && status == http.StatusNotFound && pass < maxStreamRecoveries {
 				newID, rerr := r.reresolve(ctx, id)
 				if rerr == nil {
@@ -475,10 +467,7 @@ func (r *RemoteExecutor) ensure(ctx context.Context, index int, j sweep.Job) (st
 				}
 				err = fmt.Errorf("%w (recovery failed: %v)", statusErr(status), rerr)
 			}
-			if err == nil && status != http.StatusOK {
-				err = statusErr(status)
-			}
-			if err != nil {
+			if err = wantOK(status, err); err != nil {
 				return "", fmt.Errorf("grid: submit job %d to sweep %s: %w", index, id, err)
 			}
 			break
@@ -509,7 +498,7 @@ func (r *RemoteExecutor) Close() error {
 	}
 	ctx, cancelReq := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancelReq()
-	status, err := doJSON(ctx, r.client(), http.MethodDelete, r.URL+"/v1/sweeps/"+id, r.Token, nil, nil)
+	status, err := r.wire().do(ctx, http.MethodDelete, "/v1/sweeps/"+id, nil, nil)
 	if err != nil {
 		return fmt.Errorf("grid: close sweep %s: %w", id, err)
 	}
@@ -522,7 +511,7 @@ func (r *RemoteExecutor) Close() error {
 // Stats fetches the coordinator's accounting snapshot.
 func (r *RemoteExecutor) Stats(ctx context.Context) (ServerSnapshot, error) {
 	var snap ServerSnapshot
-	status, err := doJSON(ctx, r.client(), http.MethodGet, r.URL+"/v1/stats", r.Token, nil, &snap)
+	status, err := r.wire().do(ctx, http.MethodGet, "/v1/stats", nil, &snap)
 	if err != nil {
 		return snap, err
 	}
@@ -532,142 +521,9 @@ func (r *RemoteExecutor) Stats(ctx context.Context) (ServerSnapshot, error) {
 	return snap, nil
 }
 
-// remoteRetry is the executor's backoff schedule for transport faults,
-// 5xx and 429 alike.
-var remoteRetry = backoff.Policy{Base: 250 * time.Millisecond, Cap: 5 * time.Second}
-
-// retry runs fn until it returns a status that is neither 5xx nor 429
-// without a transport error, backing off between attempts, and hands the
-// final status to the caller to interpret. Transport faults and 5xx are
-// retried alike (both are the shape of a coordinator or fronting proxy
-// mid-restart); 429 is the coordinator's rate limiter asking exactly for
-// this backoff — its Retry-After, when present, overrides the schedule —
-// so treating it as terminal would fail a sweep the tenant was merely
-// pacing.
-func (r *RemoteExecutor) retry(ctx context.Context, fn func() (int, http.Header, error)) (int, error) {
-	var status int
-	var err error
-	var hint time.Duration
-	for attempt := 0; attempt < 8; attempt++ {
-		if attempt > 0 {
-			pause := remoteRetry.PauseHint(attempt-1, hint)
-			if !sleep(ctx, pause) {
-				return 0, ctx.Err()
-			}
-		}
-		var hdr http.Header
-		status, hdr, err = fn()
-		if err == nil && status < 500 && status != http.StatusTooManyRequests {
-			return status, nil
-		}
-		if ctx.Err() != nil {
-			return 0, ctx.Err()
-		}
-		hint = 0
-		pause := remoteRetry.Pause(attempt)
-		switch {
-		case err != nil:
-			r.log().Warn("coordinator unreachable, backing off", "coordinator", r.URL, "err", err.Error(), "pause", pause.String())
-		case status == http.StatusTooManyRequests:
-			hint = retryAfter(hdr)
-			r.log().Info("coordinator rate limit, backing off", "coordinator", r.URL, "pause", remoteRetry.PauseHint(attempt, hint).String())
-		default:
-			r.log().Warn("coordinator error, backing off", "coordinator", r.URL, "status", status, "pause", pause.String())
-		}
-	}
-	if err == nil {
-		err = statusErr(status)
-	}
-	return status, err
-}
-
-// statusErr renders a terminal HTTP status as an error, spelling out the
-// misconfigurations users actually hit.
-func statusErr(status int) error {
-	switch status {
-	case http.StatusUnauthorized:
-		return errUnauthorized
-	case http.StatusForbidden:
-		return fmt.Errorf("coordinator refused (status 403): tenant sweep quota exceeded; close an open sweep or raise max_sweeps in the token file")
-	case http.StatusTooManyRequests:
-		return fmt.Errorf("coordinator rate limit (status 429) persisted through retries; raise rate_per_sec in the token file or slow the client")
-	}
-	return fmt.Errorf("unexpected status %d", status)
-}
-
 // newNonce returns a random submission id for sweep-creation idempotency.
 func newNonce() string {
 	var b [16]byte
 	rand.Read(b[:])
 	return hex.EncodeToString(b[:])
-}
-
-// doJSON sends one JSON request with optional bearer auth and decodes a
-// 200 response body into out (when non-nil). The returned error covers
-// transport and decoding failures only; HTTP statuses are the caller's to
-// interpret.
-func doJSON(ctx context.Context, client *http.Client, method, url, token string, in, out any) (int, error) {
-	status, _, err := doJSONHdr(ctx, client, method, url, token, in, out)
-	return status, err
-}
-
-// doJSONHdr is doJSON also returning the response headers (nil on
-// transport failure), for callers that interpret advisory headers such as
-// a 429's Retry-After. Requests are stamped with a body checksum, and a
-// 200 response carrying one is verified before decoding: a mismatch (a
-// byte damaged in transit that might still parse as JSON) is returned as
-// a transport-shaped error so retry loops fetch fresh bytes.
-func doJSONHdr(ctx context.Context, client *http.Client, method, url, token string, in, out any) (int, http.Header, error) {
-	return doJSONAs(ctx, client, method, url, token, "", in, out)
-}
-
-// doJSONAs is doJSONHdr additionally stamping the worker identity header
-// (when worker is non-empty), so the coordinator's health registry can
-// attribute even requests whose body arrives damaged.
-func doJSONAs(ctx context.Context, client *http.Client, method, url, token, worker string, in, out any) (int, http.Header, error) {
-	var body io.Reader
-	var sum string
-	if in != nil {
-		b, err := json.Marshal(in)
-		if err != nil {
-			return 0, nil, err
-		}
-		body = bytes.NewReader(b)
-		sum = bodySum(b)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
-	if err != nil {
-		return 0, nil, err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(sumHeader, sum)
-	}
-	if token != "" {
-		req.Header.Set("Authorization", "Bearer "+token)
-	}
-	if worker != "" {
-		req.Header.Set(workerHeader, worker)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, maxBody))
-		resp.Body.Close()
-	}()
-	if out != nil && resp.StatusCode == http.StatusOK {
-		b, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
-		if err != nil {
-			return resp.StatusCode, resp.Header, err
-		}
-		if want := resp.Header.Get(sumHeader); want != "" && want != bodySum(b) {
-			return resp.StatusCode, resp.Header, fmt.Errorf("response body checksum mismatch (damaged in transit)")
-		}
-		if err := json.Unmarshal(b, out); err != nil {
-			return resp.StatusCode, resp.Header, err
-		}
-	}
-	return resp.StatusCode, resp.Header, nil
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -368,7 +369,7 @@ func TestIncidentMemoryGuard(t *testing.T) {
 // grant-to-anyone rather than stalling the queue.
 func TestWorkerHealthGating(t *testing.T) {
 	now := time.Unix(1_000_000, 0)
-	c := NewCoordinator(Options{
+	c := newCoordinator(Options{
 		LeaseTTL: time.Hour, MaxAttempts: 5,
 		now: func() time.Time { return now },
 	})
@@ -461,6 +462,42 @@ func TestIncidentAndHeartbeatEndpoints(t *testing.T) {
 	}
 	if got := post("/v1/incident", IncidentRequest{LeaseID: "nope", Worker: "hb1", Kind: IncidentPanic, Message: "m"}); got != http.StatusConflict {
 		t.Fatalf("unknown lease incident status %d, want 409", got)
+	}
+}
+
+// TestIncidentReport429Retried: a paced worker's incident must survive a
+// 429. Dropping it would leave the job waiting out the full lease TTL
+// instead of being requeued at once, and its quarantine count would never
+// grow; instead the incident is posted again after Retry-After.
+func TestIncidentReport429Retried(t *testing.T) {
+	var posts atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path != "/v1/incident" {
+			http.NotFound(w, req)
+			return
+		}
+		if posts.Add(1) == 1 {
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, "slow down", http.StatusTooManyRequests)
+			return
+		}
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer srv.Close()
+
+	var pauses []time.Duration
+	w := &Worker{Coordinator: srv.URL, ID: "paced",
+		sleepFn: func(ctx context.Context, d time.Duration) bool {
+			pauses = append(pauses, d)
+			return true
+		}}
+	w.reportIncident(context.Background(), srv.Client(),
+		IncidentRequest{LeaseID: "lease-1", Worker: "paced", Kind: IncidentPanic, Message: "boom"})
+	if got := posts.Load(); got != 2 {
+		t.Fatalf("%d incident posts, want 2 (429, then the retry)", got)
+	}
+	if len(pauses) != 1 || pauses[0] != time.Second {
+		t.Errorf("incident pauses %v, want [1s] (Retry-After)", pauses)
 	}
 }
 

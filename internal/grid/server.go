@@ -14,8 +14,8 @@ import (
 	"safespec/internal/sweep"
 )
 
-// Server is a persistent grid coordinator: it owns a Coordinator for the
-// worker fleet and adds a sweep-submission API, so many sequential (or
+// Server is a persistent grid coordinator: it owns the lease coordinator
+// for the worker fleet and adds a sweep-submission API, so many sequential (or
 // concurrent) sweeps can share one long-lived worker fleet across
 // safespec-bench restarts. Every /v1/* endpoint — worker- and
 // client-facing alike — is guarded by per-tenant bearer auth: each token
@@ -30,8 +30,7 @@ import (
 // Results are delivered as batches: GET /v1/sweeps/{id}/results?after=N
 // long-polls the completion log and returns every result that finished
 // since cursor N, so a client needs one in-flight request per sweep, not
-// one per cell. (The older per-index poll, GET /v1/sweeps/{id}?index=N,
-// remains for spot checks.) A sweep belongs to the tenant that submitted
+// one per cell. A sweep belongs to the tenant that submitted
 // it; other tenants' requests for its id get 404, indistinguishable from a
 // sweep that never existed. A sweep whose client stops polling (a crashed
 // bench process) is abandoned after SweepTTL: its unfinished jobs are
@@ -40,7 +39,7 @@ import (
 // steady memory over days of operation.
 type Server struct {
 	opts  ServerOptions
-	coord *Coordinator
+	coord *coordinator
 	auth  *authenticator
 	// reg renders /metrics: registry-owned histograms observe live job
 	// timing, while the counter/gauge families mirror Stats() at scrape
@@ -77,7 +76,7 @@ type ServerOptions struct {
 	// Tenants maps per-client tokens to named tenants with quotas and rate
 	// limits (see Tenant and LoadTenants).
 	Tenants []Tenant
-	// Lease configures the embedded Coordinator (TTL, attempt bound).
+	// Lease configures the embedded lease coordinator (TTL, attempt bound).
 	Lease Options
 	// SweepTTL abandons a sweep whose client has neither submitted jobs nor
 	// polled results for this long (default 10 minutes). Live clients
@@ -145,7 +144,7 @@ type JobRequest struct {
 	Job   sweep.Job `json:"job"`
 }
 
-// SweepStatus is the index-less GET /v1/sweeps/{id} response.
+// SweepStatus is the GET /v1/sweeps/{id} response.
 type SweepStatus struct {
 	SweepID   string `json:"sweep_id"`
 	Submitted int    `json:"submitted"`
@@ -173,8 +172,8 @@ type ResultBatch struct {
 
 // sweepState tracks one submitted sweep. Its mutex is ordered before the
 // coordinator's: handlers take sweepState.mu then enqueue/abandon (which
-// take Coordinator.mu), while result delivery takes sweepState.mu only
-// after Coordinator.mu has been released.
+// take coordinator.mu), while result delivery takes sweepState.mu only
+// after coordinator.mu has been released.
 type sweepState struct {
 	id     string
 	nonce  string       // submission nonce, purged from Server.byNonce with the sweep
@@ -193,13 +192,11 @@ type sweepState struct {
 }
 
 // slot is one job of a sweep: its queued task while live, its result once
-// delivered (ready is closed at that point). job is retained for the
-// status page after the task is gone.
+// delivered. job is retained for the status page after the task is gone.
 type slot struct {
-	job   sweep.Job
-	task  *task
-	res   *sweep.Result
-	ready chan struct{}
+	job  sweep.Job
+	task *task
+	res  *sweep.Result
 }
 
 // maxPollWait caps the long-poll duration a client may request.
@@ -223,7 +220,7 @@ func NewServer(opts ServerOptions) *Server {
 	}
 	s := &Server{
 		opts:    opts,
-		coord:   NewCoordinator(opts.Lease),
+		coord:   newCoordinator(opts.Lease),
 		auth:    newAuthenticator(tenants, opts.now),
 		sweeps:  make(map[string]*sweepState),
 		byNonce: make(map[string]string),
@@ -231,7 +228,7 @@ func NewServer(opts ServerOptions) *Server {
 	}
 	s.reg = s.newRegistry()
 	// Journal every accepted incident so a poison job's quarantine history
-	// survives a restart (hook runs under Coordinator.mu; the store's mutex
+	// survives a restart (hook runs under coordinator.mu; the store's mutex
 	// is the innermost lock, so the append is safe there).
 	s.coord.onIncident = func(sweepID string, index int, inc taskIncident) {
 		s.journal(journalRecord{Op: opIncident, Sweep: sweepID, Index: index,
@@ -275,8 +272,7 @@ func (s *Server) OpenState(dir string) error {
 }
 
 // adoptLocked rebuilds one recovered sweep's live state: logged results
-// become completed slots (their ready channels already closed, the
-// completion log in its original order so client cursors keep indexing
+// become completed slots (the completion log in its original order so client cursors keep indexing
 // correctly), and jobs without a result re-enter the coordinator queue —
 // their leases died with the previous process. Caller holds s.mu; returns
 // the number of requeued jobs.
@@ -294,9 +290,7 @@ func (s *Server) adoptLocked(rs recoveredSweep, tenant *tenantState) int {
 	st.mu.Lock()
 	for i := range rs.Log {
 		res := rs.Log[i]
-		sl := &slot{job: res.Job, res: &res, ready: make(chan struct{})}
-		close(sl.ready)
-		st.slots[res.Index] = sl
+		st.slots[res.Index] = &slot{job: res.Job, res: &res}
 		st.log = append(st.log, res)
 		st.completed++
 		if res.Timing != nil {
@@ -551,53 +545,15 @@ func (s *Server) handlePoll(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "unknown sweep", http.StatusNotFound)
 		return
 	}
-	q := req.URL.Query()
-	if q.Get("index") == "" {
-		st.mu.Lock()
-		status := SweepStatus{
-			SweepID:   st.id,
-			Submitted: len(st.slots),
-			Completed: st.completed,
-			Done:      len(st.slots) > 0 && st.completed == len(st.slots),
-		}
-		st.mu.Unlock()
-		writeJSON(w, status)
-		return
-	}
-	idx, err := strconv.Atoi(q.Get("index"))
-	if err != nil {
-		http.Error(w, "bad index: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	wait, ok := parseWait(w, q.Get("wait"))
-	if !ok {
-		return
-	}
 	st.mu.Lock()
-	sl, found := st.slots[idx]
+	status := SweepStatus{
+		SweepID:   st.id,
+		Submitted: len(st.slots),
+		Completed: st.completed,
+		Done:      len(st.slots) > 0 && st.completed == len(st.slots),
+	}
 	st.mu.Unlock()
-	if !found {
-		http.Error(w, "unknown job index", http.StatusNotFound)
-		return
-	}
-	if wait > 0 {
-		timer := time.NewTimer(wait)
-		defer timer.Stop()
-		select {
-		case <-sl.ready:
-		case <-timer.C:
-		case <-req.Context().Done():
-			return
-		}
-	}
-	st.mu.Lock()
-	res := sl.res
-	st.mu.Unlock()
-	if res == nil {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	writeJSON(w, res)
+	writeJSON(w, status)
 }
 
 // handleResults is the batched streaming endpoint: it returns every result
@@ -758,7 +714,7 @@ func (s *Server) addJob(st *sweepState, index int, job sweep.Job) bool {
 // and a cursor a client held before a crash indexes the recovered log
 // identically.
 func (s *Server) enqueueSlotLocked(st *sweepState, index int, job sweep.Job) {
-	sl := &slot{job: job, ready: make(chan struct{})}
+	sl := &slot{job: job}
 	st.slots[index] = sl
 	sl.task = s.coord.enqueue(index, job, st.id, func(out outcome) {
 		res := &sweep.Result{Index: index, Job: job, Res: out.res, Err: out.err, Timing: out.timing}
@@ -776,7 +732,6 @@ func (s *Server) enqueueSlotLocked(st *sweepState, index int, job sweep.Job) {
 			st.logGrew = make(chan struct{})
 		}
 		st.mu.Unlock()
-		close(sl.ready)
 	})
 }
 

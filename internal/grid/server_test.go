@@ -205,13 +205,11 @@ func (b *blockUntilCancel) Execute(ctx context.Context, _ int, _ sweep.Job) (*co
 // job, so the sweep sees zero error rows.
 func TestCancelledWorkerJobRequeued(t *testing.T) {
 	jobs := smallJobs(t, "exchange2")[:1]
-	coord := NewCoordinator(Options{LeaseTTL: 100 * time.Millisecond})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
+	server, srv, re := startGrid(t, ServerOptions{Lease: Options{LeaseTTL: 100 * time.Millisecond}})
 
 	done := make(chan []sweep.Result, 1)
 	go func() {
-		results, err := sweep.Run(context.Background(), jobs, sweep.Options{Executor: coord})
+		results, err := sweep.Run(context.Background(), jobs, sweep.Options{Executor: re})
 		if err != nil {
 			t.Error(err)
 		}
@@ -250,7 +248,7 @@ func TestCancelledWorkerJobRequeued(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("requeued job never completed")
 	}
-	if s := coord.Stats(); s.Requeued == 0 {
+	if s := server.Stats(); s.Requeued == 0 {
 		t.Errorf("lease loss not accounted: %+v", s)
 	}
 }
@@ -272,7 +270,7 @@ func (f *fakeClock) Advance(d time.Duration) {
 // back to zero when a job with timed-out leases finally completes.
 func TestExpiredLeasesPurgedOnCompletion(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1_000, 0)}
-	coord := NewCoordinator(Options{LeaseTTL: time.Minute, now: clk.Now})
+	coord := newCoordinator(Options{LeaseTTL: time.Minute, now: clk.Now})
 	ch := make(chan outcome, 1)
 	coord.enqueue(0, sweep.Job{Bench: "exchange2", Mode: "baseline"}, "", func(o outcome) { ch <- o })
 
@@ -313,7 +311,7 @@ func TestExpiredLeasesPurgedOnCompletion(t *testing.T) {
 // job's expired entries along with delivering the error.
 func TestExpiredLeasesPurgedOnFailure(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1_000, 0)}
-	coord := NewCoordinator(Options{LeaseTTL: time.Minute, MaxAttempts: 2, now: clk.Now})
+	coord := newCoordinator(Options{LeaseTTL: time.Minute, MaxAttempts: 2, now: clk.Now})
 	ch := make(chan outcome, 1)
 	coord.enqueue(0, sweep.Job{Bench: "exchange2", Mode: "baseline"}, "", func(o outcome) { ch <- o })
 
@@ -341,35 +339,34 @@ func TestExpiredLeasesPurgedOnFailure(t *testing.T) {
 	}
 }
 
-// TestExpiredLeasesPurgedOnAbandon: cancelling an Execute whose job has a
+// TestExpiredLeasesPurgedOnAbandon: closing a sweep whose job has a
 // timed-out lease must clear that lease from the expired index.
 func TestExpiredLeasesPurgedOnAbandon(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1_000, 0)}
-	coord := NewCoordinator(Options{LeaseTTL: time.Minute, now: clk.Now})
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, err := coord.Execute(ctx, 0, sweep.Job{Bench: "exchange2", Mode: "baseline", Config: core.Baseline()})
-		errc <- err
-	}()
-	for coord.Stats().Pending == 0 {
-		time.Sleep(time.Millisecond)
+	server := NewServer(ServerOptions{Lease: Options{LeaseTTL: time.Minute, now: clk.Now}, now: clk.Now})
+	srv := httptest.NewServer(server.Handler())
+	defer srv.Close()
+	ctx := context.Background()
+
+	var resp SubmitResponse
+	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "",
+		SubmitRequest{Jobs: smallJobs(t, "exchange2")[:1]}, &resp); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := coord.lease("crasher", "crasher"); !ok {
+	if _, ok := server.coord.lease("crasher", "crasher"); !ok {
 		t.Fatal("no lease granted")
 	}
 	clk.Advance(2 * time.Minute)
-	if _, ok := coord.lease("w2", "w2"); !ok { // expiry + re-grant
+	if _, ok := server.coord.lease("w2", "w2"); !ok { // expiry + re-grant
 		t.Fatal("expired job not re-leased")
 	}
-	if s := coord.Stats(); s.Expired != 1 {
+	if s := server.Stats(); s.Expired != 1 {
 		t.Fatalf("expiry not indexed: %+v", s)
 	}
-	cancel()
-	if err := <-errc; err != context.Canceled {
-		t.Fatalf("want context.Canceled, got %v", err)
+	if status, err := doJSON(ctx, srv.Client(), http.MethodDelete, srv.URL+"/v1/sweeps/"+resp.SweepID, "", nil, nil); err != nil || status != http.StatusOK {
+		t.Fatalf("close sweep: status %d, err %v", status, err)
 	}
-	if s := coord.Stats(); s.Expired != 0 || s.Leased != 0 || s.Pending != 0 {
+	if s := server.Stats(); s.Expired != 0 || s.Leased != 0 || s.Pending != 0 {
 		t.Errorf("abandoned job left coordinator state behind: %+v", s)
 	}
 }

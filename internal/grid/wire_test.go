@@ -188,14 +188,12 @@ func TestNoTimingPeerByteIdenticalSweep(t *testing.T) {
 
 	local := runWith(nil)
 
-	coord := NewCoordinator(Options{})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
+	_, srv, re := startGrid(t, ServerOptions{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go oldPeerWorker(t, ctx, srv.URL)
 
-	if remote := runWith(coord); remote != local {
+	if remote := runWith(re); remote != local {
 		t.Errorf("untimed peer changed sweep output:\n%s\nvs\n%s", remote, local)
 	}
 }

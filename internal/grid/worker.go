@@ -7,8 +7,6 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -28,7 +26,8 @@ type WorkerMetrics struct {
 	// error (still reported — an error is a final result), and results the
 	// coordinator discarded (expired lease) or jobs abandoned on shutdown.
 	Leased, Completed, Failed, Requeued *obs.Counter
-	// Backoff429 counts coordinator rate-limit responses (lease and report).
+	// Backoff429 counts coordinator rate-limit (429) responses to any of
+	// the worker's requests.
 	Backoff429 *obs.Counter
 	// CacheHits/CacheMisses mirror the worker's result cache at scrape time
 	// (the binary wires the mirror; they stay 0 without a cache).
@@ -75,7 +74,7 @@ type Worker struct {
 	Exec sweep.Executor
 	// Poll is the idle sleep between lease attempts when the coordinator
 	// has no work (default 250ms). Transport errors back off up to 16x; a
-	// coordinator 429 carrying a Retry-After header is honored instead.
+	// coordinator 429 waits its Retry-After (1s when absent) instead.
 	Poll time.Duration
 	// MaxIdle exits Run after the coordinator has been unreachable for this
 	// long (0 = keep polling until ctx is cancelled). Idle 204 responses do
@@ -121,7 +120,7 @@ func (w *Worker) log() *slog.Logger {
 	if w.Log != nil {
 		return w.Log
 	}
-	return slog.New(slog.DiscardHandler)
+	return discardLog
 }
 
 func (w *Worker) sleep(ctx context.Context, d time.Duration) bool {
@@ -129,6 +128,16 @@ func (w *Worker) sleep(ctx context.Context, d time.Duration) bool {
 		return w.sleepFn(ctx, d)
 	}
 	return sleep(ctx, d)
+}
+
+// wire returns the worker's grid client over hc. Every request carries the
+// worker identity header, and every 429 answer counts as a backoff.
+func (w *Worker) wire(hc *http.Client) client {
+	c := client{base: w.Coordinator, token: w.Token, worker: w.ID, http: hc, log: w.log(), sleep: w.sleep}
+	if w.Metrics != nil {
+		c.on429 = w.Metrics.Backoff429.Inc
+	}
+	return c
 }
 
 // Run polls until ctx is cancelled (or the coordinator stays unreachable
@@ -185,7 +194,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context, client *http.Client, every t
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		hb := HeartbeatRequest{Worker: w.ID, Busy: int(w.busy.Load()), HeapBytes: ms.HeapAlloc}
-		if _, _, err := w.post(ctx, client, "/v1/heartbeat", hb, nil); err != nil {
+		if _, err := w.wire(client).do(ctx, http.MethodPost, "/v1/heartbeat", hb, nil); err != nil {
 			w.log().Debug("heartbeat failed", "worker", w.ID, "err", err.Error())
 		}
 	}
@@ -196,8 +205,8 @@ func (w *Worker) loop(ctx context.Context, loop int, client *http.Client,
 	exec sweep.Executor, poll time.Duration) error {
 	log := w.log().With("worker", w.ID, "loop", loop)
 	// The lease backoff schedule: first retry after one poll interval,
-	// doubling to 16x. failures counts consecutive lease faults (transport
-	// or 429) and resets on any answer from a healthy queue.
+	// doubling to 16x. failures counts consecutive lease faults and resets
+	// on any answer from a healthy queue.
 	leaseRetry := backoff.Policy{Base: poll, Cap: 16 * poll}
 	failures := 0
 	var unreachableSince time.Time
@@ -206,7 +215,7 @@ func (w *Worker) loop(ctx context.Context, loop int, client *http.Client,
 			return nil
 		}
 		leaseStart := time.Now()
-		lease, ok, hint, err := w.lease(ctx, client, loop)
+		lease, ok, err := w.lease(ctx, client, loop)
 		if err == nil && w.Metrics != nil {
 			w.Metrics.LeaseLatency.Observe(time.Since(leaseStart).Seconds())
 		}
@@ -214,24 +223,18 @@ func (w *Worker) loop(ctx context.Context, loop int, client *http.Client,
 		// — including 204 (idle) and 429 (paced) — proves the coordinator is
 		// there; transport failures and auth rejections flip it off.
 		w.ready.Store(err == nil || errors.Is(err, errRateLimited))
+		var re *retryable
 		switch {
 		case errors.Is(err, errUnauthorized):
 			// A wrong token never becomes right; polling on would only spam
 			// the coordinator's auth log.
 			return err
-		case errors.Is(err, errRateLimited):
-			// The coordinator is pacing this tenant, not failing: back off
-			// without starting the MaxIdle unreachability clock (a
-			// rate-limited coordinator is a reachable coordinator). The
-			// coordinator's Retry-After is authoritative when present; the
-			// doubling backoff covers coordinators that omit it.
-			pause := leaseRetry.PauseHint(failures, hint)
-			failures++
-			if w.Metrics != nil {
-				w.Metrics.Backoff429.Inc()
-			}
-			log.Info("coordinator rate limit, backing off", "pause", pause.String(), "retry_after", hint > 0)
-			if !w.sleep(ctx, pause) {
+		case errors.As(err, &re) && errors.Is(err, errRateLimited):
+			// The coordinator is pacing this tenant, not failing: wait the
+			// pause it asked for without starting the MaxIdle unreachability
+			// clock (a rate-limited coordinator is a reachable coordinator).
+			log.Info("coordinator rate limit, backing off", "pause", re.after.String())
+			if !w.sleep(ctx, re.after) {
 				return nil
 			}
 			continue
@@ -425,152 +428,61 @@ func (w *Worker) execContained(ctx context.Context, lease LeaseResponse, exec sw
 	}
 }
 
-// reportIncident posts one contained failure, best-effort: a few transport
-// retries, then give up — the coordinator's lease TTL covers a lost
-// incident the same way it covers a lost worker. A shutting-down worker
-// reports on a short detached deadline, like final results.
+// reportIncident posts one contained failure, best-effort: a few retries,
+// then give up — the coordinator's lease TTL covers a lost incident the
+// same way it covers a lost worker. A 4xx answer (409: the lease is
+// already gone) is a final judgement. A shutting-down worker reports on a
+// short detached deadline, like final results.
 func (w *Worker) reportIncident(ctx context.Context, client *http.Client, inc IncidentRequest) {
 	rctx, cancel := ctx, context.CancelFunc(func() {})
 	if ctx.Err() != nil {
 		rctx, cancel = context.WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
 	}
 	defer cancel()
-	for attempt := 0; attempt < 3; attempt++ {
-		if attempt > 0 && !w.sleep(rctx, reportTransport.Pause(attempt-1)) {
-			return
-		}
-		status, _, err := w.post(rctx, client, "/v1/incident", inc, nil)
-		if err != nil || status >= 500 {
-			continue // transport fault or server error: retry
-		}
-		return // accepted (200) or terminally judged (4xx): done either way
+	if _, err := w.wire(client).call(rctx, reportTransport, 3, http.MethodPost, "/v1/incident", inc, nil); err != nil {
+		w.log().Warn("incident report lost", "worker", w.ID, "kind", inc.Kind, "err", err.Error())
 	}
-	w.log().Warn("incident report lost", "worker", w.ID, "kind", inc.Kind)
 }
 
-// errUnauthorized marks a coordinator 401 — a configuration error, not a
-// transient fault — so the worker exits (and the remote executor stops
-// retrying) instead of hammering the coordinator's auth log.
-var errUnauthorized = errors.New("coordinator rejected the bearer token (status 401); check -token/SAFESPEC_TOKEN")
-
-// errRateLimited marks a coordinator 429: this tenant is over its request
-// rate. Unlike other 4xx it is transient by definition — the rate limiter
-// is asking for exactly a backoff — so lease and report loops retry it
-// instead of treating it as terminal.
-var errRateLimited = errors.New("coordinator rate limit (status 429)")
-
-// retryAfter parses a Retry-After header's delay-seconds form (the form
-// the coordinator sends). The HTTP-date form and garbage both come back 0:
-// the caller falls back to its own backoff.
-func retryAfter(h http.Header) time.Duration {
-	v := strings.TrimSpace(h.Get("Retry-After"))
-	if v == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(v)
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
-}
-
-// lease requests one job; ok is false on an empty queue (204). On a 429,
-// hint carries the coordinator's Retry-After delay (0 when absent).
-func (w *Worker) lease(ctx context.Context, client *http.Client, loop int) (LeaseResponse, bool, time.Duration, error) {
+// lease requests one job; ok is false on an empty queue (204).
+func (w *Worker) lease(ctx context.Context, client *http.Client, loop int) (LeaseResponse, bool, error) {
 	var resp LeaseResponse
-	status, hdr, err := w.post(ctx, client, "/v1/lease",
+	status, err := w.wire(client).do(ctx, http.MethodPost, "/v1/lease",
 		LeaseRequest{Worker: fmt.Sprintf("%s/%d", w.ID, loop)}, &resp)
-	if err != nil {
-		return resp, false, 0, err
+	switch {
+	case err != nil:
+		return resp, false, err
+	case status == http.StatusOK:
+		return resp, true, nil
+	case status == http.StatusNoContent:
+		return resp, false, nil
 	}
-	switch status {
-	case http.StatusOK:
-		return resp, true, 0, nil
-	case http.StatusNoContent:
-		return resp, false, 0, nil
-	case http.StatusUnauthorized:
-		return resp, false, 0, errUnauthorized
-	case http.StatusTooManyRequests:
-		return resp, false, retryAfter(hdr), errRateLimited
-	default:
-		return resp, false, 0, fmt.Errorf("lease: unexpected status %d", status)
-	}
+	return resp, false, fmt.Errorf("lease: %w", statusErr(status))
 }
 
-// reportTransport and reportRate are the report retry schedules: transport
-// faults and 5xx ride a fast doubling schedule whose eight attempts fit
-// the 10-second detached-report budget a shutting-down worker gets (a
+// reportTransport is the report schedule, run for 8 attempts: transport
+// faults and 5xx ride a fast doubling schedule whose eight attempts fit the
+// 10-second detached-report budget a shutting-down worker gets (a
 // coordinator mid-restart refuses connections for a few seconds — a
-// finished result must survive that, not be thrown away and re-simulated);
-// rate-limit rejections wait on the coarser bucket-refill scale.
-var (
-	reportTransport = backoff.Policy{Base: 200 * time.Millisecond, Cap: 2 * time.Second}
-	reportRate      = backoff.Policy{Base: time.Second, Cap: 8 * time.Second}
-)
+// finished result must survive that, not be thrown away and re-simulated).
+// A 429 waits exactly as long as the coordinator asks.
+var reportTransport = backoff.Policy{Base: 200 * time.Millisecond, Cap: 2 * time.Second}
 
-// report posts a finished lease, retrying transport errors and 5xx until
-// its backoff budget runs out, then giving the job back to the coordinator
-// via lease expiry. Any 4xx other than 409 (stale lease, reported by the
-// caller) and 429 (tenant rate limit — the limiter is asking for a
-// backoff, and the detached final report on shutdown must survive it too)
-// is terminal: the coordinator rejected the payload itself, and retrying
-// the same bytes can only fail the same way. A 429 carrying Retry-After
-// waits exactly that long.
+// report posts a finished lease, retrying transport errors, 5xx and 429
+// until its attempts run out, then giving the job back to the coordinator
+// via lease expiry. Any other 4xx is terminal: 409 is a stale lease
+// (reported by the caller), and the rest mean the coordinator rejected the
+// payload itself, so retrying the same bytes can only fail the same way.
 func (w *Worker) report(ctx context.Context, client *http.Client, leaseID string, r sweep.Result) error {
-	var err error
-	var hint time.Duration
-	for attempt := 0; attempt < 8; attempt++ {
-		if attempt > 0 {
-			pause := reportTransport.Pause(attempt - 1)
-			if errors.Is(err, errRateLimited) {
-				pause = reportRate.PauseHint(attempt-1, hint)
-			}
-			if !w.sleep(ctx, pause) {
-				return ctx.Err()
-			}
-		}
-		var status int
-		var hdr http.Header
-		status, hdr, err = w.post(ctx, client, "/v1/result", ResultRequest{LeaseID: leaseID, Result: r}, nil)
-		if err != nil {
-			continue
-		}
-		switch {
-		case status == http.StatusOK:
-			return nil
-		case status == http.StatusConflict:
-			return fmt.Errorf("result: lease %s no longer valid", leaseID)
-		case status == http.StatusTooManyRequests:
-			err, hint = errRateLimited, retryAfter(hdr)
-			if w.Metrics != nil {
-				w.Metrics.Backoff429.Inc()
-			}
-		case status >= 400 && status < 500:
-			return fmt.Errorf("result: permanently rejected with status %d", status)
-		default:
-			err = fmt.Errorf("result: unexpected status %d", status)
-		}
+	status, err := w.wire(client).call(ctx, reportTransport, 8, http.MethodPost, "/v1/result",
+		ResultRequest{LeaseID: leaseID, Result: r}, nil)
+	switch {
+	case err != nil:
+		return fmt.Errorf("result: %w", err)
+	case status == http.StatusOK:
+		return nil
+	case status == http.StatusConflict:
+		return fmt.Errorf("result: lease %s no longer valid", leaseID)
 	}
-	return err
-}
-
-// post sends one JSON request and decodes a JSON body into out (when non-nil
-// and the status is 200). Every request carries the worker identity header
-// so the coordinator's health registry can attribute it even when the body
-// arrives damaged.
-func (w *Worker) post(ctx context.Context, client *http.Client, path string, in, out any) (int, http.Header, error) {
-	return doJSONAs(ctx, client, http.MethodPost, w.Coordinator+path, w.Token, w.ID, in, out)
-}
-
-// sleep waits d or until ctx is done, reporting whether the full wait
-// elapsed.
-func sleep(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
+	return fmt.Errorf("result: permanently rejected with status %d", status)
 }

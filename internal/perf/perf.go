@@ -299,8 +299,8 @@ func (r *Report) Write(dir string) (string, error) {
 }
 
 // Load reads a report back, verifying its schema. Both the current v2
-// schema and v1 (no bench_rows) are accepted: committed v1 baselines keep
-// gating the aggregate metrics.
+// schema and v1 (no bench_rows) are accepted: bench/BENCH_baseline.json
+// and bench/BENCH_pr4.json are committed v1 reports.
 func Load(path string) (*Report, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {

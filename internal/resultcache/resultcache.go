@@ -70,9 +70,8 @@ type Stats struct {
 // envelope is the on-disk entry format. Sum is a CRC32-IEEE checksum
 // (lowercase hex) over the result's canonical JSON encoding: a flipped bit
 // inside a numeric field still parses as valid JSON, and without the
-// checksum it would silently poison every sweep that hits the entry.
-// Entries written before the field (empty Sum) are accepted unverified, so
-// FormatVersion stays 1.
+// checksum it would silently poison every sweep that hits the entry. An
+// entry without a Sum is corrupt like any other checksum failure.
 type envelope struct {
 	Version int           `json:"version"`
 	Key     string        `json:"key"`
@@ -154,12 +153,9 @@ func (c *Cache) Get(key string) (*core.Results, bool, error) {
 		return nil, false, fmt.Errorf("resultcache: entry %s does not match its address (version %d, key %q)",
 			key, e.Version, e.Key)
 	}
-	if e.Sum != "" {
-		sum, serr := resSum(e.Res)
-		if serr != nil || sum != e.Sum {
-			c.errs.Add(1)
-			return nil, false, fmt.Errorf("resultcache: entry %s failed its checksum (bit rot or damaged write)", key)
-		}
+	if sum, serr := resSum(e.Res); serr != nil || sum != e.Sum {
+		c.errs.Add(1)
+		return nil, false, fmt.Errorf("resultcache: entry %s failed its checksum (bit rot or damaged write)", key)
 	}
 	c.hits.Add(1)
 	return e.Res, true, nil

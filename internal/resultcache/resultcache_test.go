@@ -253,28 +253,44 @@ func TestChecksumCatchesInBandDamage(t *testing.T) {
 	}
 }
 
-// TestSumlessEntryAccepted: entries written before the checksum field
-// (FormatVersion unchanged) are served unverified rather than invalidated.
-func TestSumlessEntryAccepted(t *testing.T) {
+// TestSumlessEntryMiss: an entry without a checksum cannot be verified, so
+// it is a corrupt-entry miss — counted as an error, then re-simulated —
+// never a hit served unverified.
+func TestSumlessEntryMiss(t *testing.T) {
 	cache, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const key = "ef567890"
-	res := &core.Results{Stats: &pipeline.Stats{Committed: 42}}
-	old, err := json.Marshal(envelope{Version: FormatVersion, Key: key, Res: res})
+	jobs := smallJobs(t)[:1]
+	key, err := jobs[0].Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sumless, err := json.Marshal(envelope{Version: FormatVersion, Key: key,
+		Res: &core.Results{Stats: &pipeline.Stats{Committed: 42}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.MkdirAll(filepath.Dir(cache.path(key)), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(cache.path(key), old, 0o644); err != nil {
+	if err := os.WriteFile(cache.path(key), sumless, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := cache.Get(key)
-	if err != nil || !ok || got.Committed != 42 {
-		t.Fatalf("pre-checksum entry rejected: ok=%v err=%v res=%+v", ok, err, got)
+	if got, ok, err := cache.Get(key); ok || err == nil {
+		t.Fatalf("sumless entry served: ok=%v err=%v res=%+v", ok, err, got)
+	}
+	if s := cache.Stats(); s.Errors != 1 || s.Hits != 0 {
+		t.Errorf("sumless entry not counted as a corrupt miss: %+v", s)
+	}
+	counting := &countingExecutor{inner: sweep.LocalExecutor{}}
+	res, err := NewExecutor(cache, counting).Execute(context.Background(), 0, jobs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counting.executed.Load() != 1 || res.Committed == 42 {
+		t.Errorf("sumless entry not re-simulated: %d executions, committed %d",
+			counting.executed.Load(), res.Committed)
 	}
 }
 

@@ -52,9 +52,8 @@ type resultJSON struct {
 	Res    *core.Results `json:"res,omitempty"`
 	Err    string        `json:"err,omitempty"`
 	WallNS int64         `json:"wall_ns,omitempty"`
-	// Timing is optional on the wire: peers that predate it omit the field,
-	// and decoders that predate it ignore unknown JSON keys, so mixed-version
-	// fleets interoperate.
+	// Timing is optional on the wire: a worker whose executor is not a
+	// TimedExecutor omits the field.
 	Timing *Timing `json:"timing,omitempty"`
 }
 
@@ -84,7 +83,7 @@ func (r *Result) UnmarshalJSON(b []byte) error {
 // Executor runs one job and returns its simulator results. It is the seam
 // that lets Run be backed by in-process simulation (LocalExecutor), a
 // content-addressed result cache (resultcache.Executor), or a fleet of
-// worker processes (grid.Coordinator) — sinks, ordering and the figures
+// worker processes (grid.RemoteExecutor) — sinks, ordering and the figures
 // layer are identical for all of them. Execute is called concurrently from
 // Run's worker pool and must be safe for concurrent use.
 type Executor interface {

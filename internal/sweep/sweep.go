@@ -31,9 +31,9 @@ type Result struct {
 	Err error
 	// Wall is the job's wall-clock execution time on its worker.
 	Wall time.Duration
-	// Timing is the optional span breakdown of Wall (nil when the executor
-	// cannot attribute time, or the result came from a peer that predates
-	// timing). It is diagnostic only and never reaches sink rows.
+	// Timing is the optional span breakdown of Wall (nil when the executor,
+	// or a remote worker's executor, cannot attribute time). It is
+	// diagnostic only and never reaches sink rows.
 	Timing *Timing
 }
 

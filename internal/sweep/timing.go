@@ -11,8 +11,8 @@ import (
 // Timing is the optional per-job span breakdown carried alongside a
 // Result: where the job's wall-clock time went, in nanoseconds. Spans a
 // layer cannot observe stay zero — a purely local run has no report span,
-// a cache hit has no simulate span — and a Result from a peer that
-// predates timing has a nil Timing altogether. Timing is diagnostic only:
+// a cache hit has no simulate span — and a Result from an executor that
+// is not a TimedExecutor has a nil Timing altogether. Timing is diagnostic only:
 // it never feeds Row, so sweep output stays byte-identical whether or not
 // any layer populates it.
 //
