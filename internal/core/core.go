@@ -89,16 +89,16 @@ type Results struct {
 // Simulator is a configured core bound to a program. Use New + Run, or the
 // package-level Run convenience. A Simulator can be Reset and run again —
 // sweep executors keep one per goroutine and rebind it across cells, which
-// skips reconstructing the ROB, caches, TLBs, shadow structures, predictor
-// tables and (for an unchanged program) the loaded memory image.
+// skips reconstructing the ROB, caches, TLBs, shadow structures and
+// predictor tables. The program's memory image is built once per program
+// and shared read-only by every Simulator running it: each maps it
+// copy-on-write, so a Reset never rebuilds page tables or data frames.
 type Simulator struct {
 	cfg Config
 	cpu *pipeline.CPU
-	// prog/mem cache the loaded memory image: as long as the program stays
-	// the same, Reset rolls the journaled memory back to its post-load
-	// state instead of rebuilding page tables and data frames.
-	prog *isa.Program
-	mem  *mem.Memory
+	// mem is this simulator's working memory: a copy-on-write view of the
+	// current program's image, rebound on every Reset.
+	mem *mem.Memory
 }
 
 // New builds a Simulator for prog under cfg.
@@ -111,18 +111,13 @@ func New(cfg Config, prog *isa.Program) *Simulator {
 // Reset rebinds the simulator to (cfg, prog) as if freshly built by New,
 // reusing previously allocated structures wherever the configuration allows.
 // Results of a run after Reset are identical to those of a fresh simulator.
+// prog must not change once a simulator has run it: its image is built on
+// first use and kept for as long as prog is reachable.
 func (s *Simulator) Reset(cfg Config, prog *isa.Program) {
-	// Rollback replays one record per journaled write; a rebuild writes
-	// (roughly) one word per allocated backing word. Past that break-even
-	// point — store-heavy runs at large instruction budgets — rebuilding is
-	// cheaper and also returns the journal's memory.
-	if s.mem != nil && s.prog == prog && s.mem.JournalLen() <= 2*s.mem.Words() {
-		s.mem.Rollback()
-	} else {
-		s.mem = pipeline.BuildMemory(prog)
-		s.mem.StartJournal()
-		s.prog = prog
+	if s.mem == nil {
+		s.mem = new(mem.Memory)
 	}
+	s.mem.Rebind(imageOf(prog))
 	if s.cpu == nil {
 		s.cpu = pipeline.NewWith(cfg.Pipeline, prog, s.mem)
 	} else {

@@ -17,6 +17,8 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 )
 
 // PageBits is log2 of the page size. 4 KiB pages, as on x86-64.
@@ -105,13 +107,15 @@ const (
 // stride so a physical address maps to its region by pure arithmetic.
 const regionBytes = entriesPerL * 8
 
-// writeRec is one journaled physical write (see StartJournal).
-type writeRec struct {
-	pa  uint64
-	old int64
-}
-
 // Memory is the simulated physical memory plus the page-table machinery.
+//
+// A Memory is either an image or a working memory. An image is built with
+// New, Map and LoadImage, then frozen (Freeze): its frames are never written
+// again, so any number of working memories on any goroutines can map it at
+// once. A working memory maps an image copy-on-write (Rebind): it shares the
+// image's frames and copies each one into a private frame before its first
+// write. Rebinding again drops every private frame, which restores the
+// image's content exactly.
 type Memory struct {
 	// frames holds the allocated regions in bump order: region i covers
 	// physical addresses [physBase+i*regionBytes, +len(frames[i])*8).
@@ -121,25 +125,29 @@ type Memory struct {
 	// ReadPhys/WritePhys — the hottest memory-system calls (every PTE read
 	// of every page walk lands here) — map-free.
 	frames [][]int64
+	// shared marks the frames borrowed from an image, which WritePhys
+	// copies before writing. Every frame of a frozen image is marked too.
+	shared []bool
+	// spare holds the private frames the last Rebind released. A
+	// copy-on-write takes its private frame from here before allocating,
+	// so a working memory rebound between runs stops allocating once warm.
+	spare [][]int64
+	// frozen makes every write panic: the memory is an image.
+	frozen bool
 	// rootPA is the physical base of the level-1 page table.
 	rootPA uint64
 	// nextFreePA is a bump allocator for frames (page tables and data).
 	nextFreePA uint64
-
-	// journal, when enabled, records the old value of every physical write
-	// so Rollback can restore the post-load image exactly. Sweep executors
-	// use it to reuse one loaded Memory across runs of the same program
-	// instead of rebuilding page tables and data frames per job.
-	journal    []writeRec
-	journaling bool
-	// words totals the allocated backing words across all frames.
-	words int
 }
 
 // physBase is where the bump allocator starts handing out frames.
 // Virtual addresses used by programs are far below this, avoiding collisions
 // between PA-space and the VA values that identify lines in the caches.
 const physBase = 1 << 40
+
+// zeroFrame backs every all-zero frame of every frozen image. Like the
+// images themselves it is never written: WritePhys copies it first.
+var zeroFrame = make([]int64, entriesPerL)
 
 // New returns an empty memory with an allocated (empty) root page table.
 func New() *Memory {
@@ -152,85 +160,122 @@ func New() *Memory {
 // returns its base address. The region occupies a full regionBytes slot of
 // the PA space regardless of words.
 func (m *Memory) allocFrame(words int) uint64 {
+	if m.frozen {
+		panic("mem: mapping into a frozen image")
+	}
 	base := m.nextFreePA
 	m.nextFreePA += regionBytes
 	m.frames = append(m.frames, make([]int64, words))
-	m.words += words
+	m.shared = append(m.shared, false)
 	return base
 }
 
-// Words returns the total allocated backing words — a proxy for the cost
-// of rebuilding this memory from scratch, which callers weigh against the
-// journal length when deciding between Rollback and a rebuild.
-func (m *Memory) Words() int { return m.words }
+// Freeze turns m into an image that working memories map with Rebind, and
+// returns it. Every all-zero frame collapses onto one shared zero frame, so
+// an image holds only the frames that carry data or page-table entries.
+// Any later write to m panics.
+func (m *Memory) Freeze() *Memory {
+	for i, f := range m.frames {
+		if isZero(f) {
+			m.frames[i] = zeroFrame[:len(f):len(f)]
+		}
+		m.shared[i] = true
+	}
+	m.frozen = true
+	return m
+}
 
-// JournalLen returns the number of journaled writes awaiting Rollback.
-func (m *Memory) JournalLen() int { return len(m.journal) }
+func isZero(f []int64) bool {
+	for _, w := range f {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Rebind makes m a copy-on-write view of the frozen image img, as if m had
+// just been built the way img was. Whatever m held before is dropped; its
+// private frames move to the spare list for the copies of the next run.
+func (m *Memory) Rebind(img *Memory) {
+	if !img.frozen {
+		panic("mem: Rebind to a memory that is not frozen")
+	}
+	for i, f := range m.frames {
+		if !m.shared[i] {
+			m.spare = append(m.spare, f)
+		}
+	}
+	old := m.frames
+	m.frames = append(old[:0], img.frames...)
+	if len(old) > len(m.frames) {
+		// Let a previous, larger image be collected.
+		clear(old[len(m.frames):])
+	}
+	m.shared = append(m.shared[:0], img.shared...)
+	m.rootPA, m.nextFreePA = img.rootPA, img.nextFreePA
+}
 
 // RootPA returns the physical address of the root page table, which the
 // page walker dereferences.
 func (m *Memory) RootPA() uint64 { return m.rootPA }
 
-// frameOf locates the allocated region containing pa.
-func (m *Memory) frameOf(pa uint64) ([]int64, uint64, bool) {
+// frameOf locates pa: the frame holding it, that frame's slot and the word
+// index of pa within the frame.
+func (m *Memory) frameOf(pa uint64) (f []int64, slot, word uint64, ok bool) {
 	if pa < physBase {
-		return nil, 0, false
+		return nil, 0, 0, false
 	}
-	slot := (pa - physBase) / regionBytes
+	slot = (pa - physBase) / regionBytes
 	if slot >= uint64(len(m.frames)) {
-		return nil, 0, false
+		return nil, 0, 0, false
 	}
-	return m.frames[slot], physBase + slot*regionBytes, true
+	f = m.frames[slot]
+	word = (pa - physBase) % regionBytes / 8
+	return f, slot, word, word < uint64(len(f))
 }
 
 // ReadPhys reads the 64-bit word at physical address pa (8-byte aligned by
 // truncation).
 func (m *Memory) ReadPhys(pa uint64) (int64, error) {
-	f, base, ok := m.frameOf(pa)
+	f, _, i, ok := m.frameOf(pa)
 	if !ok {
-		return 0, ErrUnmapped
-	}
-	i := (pa - base) / 8
-	if i >= uint64(len(f)) {
 		return 0, ErrUnmapped
 	}
 	return f[i], nil
 }
 
-// WritePhys writes the 64-bit word at physical address pa.
+// WritePhys writes the 64-bit word at physical address pa, first copying
+// the frame into a private one if it is shared with an image.
 func (m *Memory) WritePhys(pa uint64, v int64) error {
-	f, base, ok := m.frameOf(pa)
+	f, slot, i, ok := m.frameOf(pa)
 	if !ok {
 		return ErrUnmapped
 	}
-	i := (pa - base) / 8
-	if i >= uint64(len(f)) {
-		return ErrUnmapped
-	}
-	if m.journaling {
-		m.journal = append(m.journal, writeRec{pa: pa, old: f[i]})
+	if m.shared[slot] {
+		f = m.own(slot)
 	}
 	f[i] = v
 	return nil
 }
 
-// StartJournal begins recording physical writes so Rollback can undo them.
-// Call it once the program image is fully loaded; mapping new pages while
-// journaling is not supported (Rollback restores content, not layout).
-func (m *Memory) StartJournal() {
-	m.journaling = true
-	m.journal = m.journal[:0]
-}
-
-// Rollback undoes every journaled write in reverse order, restoring memory
-// to its content at the matching StartJournal, and starts a fresh journal.
-func (m *Memory) Rollback() {
-	for i := len(m.journal) - 1; i >= 0; i-- {
-		rec := m.journal[i]
-		f, base, _ := m.frameOf(rec.pa)
-		f[(rec.pa-base)/8] = rec.old
+// own replaces the shared frame in slot with a private copy and returns it.
+func (m *Memory) own(slot uint64) []int64 {
+	if m.frozen {
+		panic("mem: write to a frozen image")
 	}
-	m.journal = m.journal[:0]
+	src := m.frames[slot]
+	var dst []int64
+	if k := len(m.spare) - 1; k >= 0 && cap(m.spare[k]) >= len(src) {
+		dst = m.spare[k][:len(src)]
+		m.spare = m.spare[:k]
+	} else {
+		dst = make([]int64, len(src))
+	}
+	copy(dst, src)
+	m.frames[slot] = dst
+	m.shared[slot] = false
+	return dst
 }
 
 // Map establishes a mapping for the virtual page containing va with the given
@@ -368,18 +413,34 @@ func (m *Memory) EnsureMapped(va uint64, perm Perm) {
 }
 
 // LoadImage installs the program's data segments: Data words into user pages
-// and KernelData words into kernel-only pages.
+// and KernelData words into kernel-only pages. Pages are mapped in ascending
+// address order before any word is written, so the physical layout of a
+// program's image (which feeds the D-cache through page-walk PTE reads)
+// never depends on map iteration order.
 func (m *Memory) LoadImage(data, kernelData map[uint64]int64) {
-	for va, v := range data {
+	for _, va := range pagesOf(data) {
 		m.EnsureMapped(va, PermUser|PermKernel)
+	}
+	for _, va := range pagesOf(kernelData) {
+		m.Map(va, PermKernel)
+	}
+	for va, v := range data {
 		if f := m.Write(va, v, true); f != FaultNone {
 			panic(fmt.Sprintf("mem: loading user data at %#x: %v", va, f))
 		}
 	}
 	for va, v := range kernelData {
-		m.Map(va, PermKernel)
 		if f := m.Write(va, v, true); f != FaultNone {
 			panic(fmt.Sprintf("mem: loading kernel data at %#x: %v", va, f))
 		}
 	}
+}
+
+// pagesOf returns the base addresses of the pages words touches, ascending.
+func pagesOf(words map[uint64]int64) []uint64 {
+	pages := make(map[uint64]struct{})
+	for va := range words {
+		pages[va&^uint64(PageMask)] = struct{}{}
+	}
+	return slices.Sorted(maps.Keys(pages))
 }

@@ -403,3 +403,41 @@ func TestModeString(t *testing.T) {
 		t.Error("SafeSpec() wrong")
 	}
 }
+
+// TestBuildMemoryLayoutDeterministic: a program's physical layout — which
+// frame backs each page, and so which PTE addresses the page walker reads
+// through the D-cache — depends only on the program, even for data pages no
+// Region declares. Images are built once per process, so a layout that
+// followed map iteration order would differ between grid workers.
+func TestBuildMemoryLayoutDeterministic(t *testing.T) {
+	b := asm.NewBuilder()
+	b.Halt()
+	prog := b.MustBuild()
+	prog.Data = map[uint64]int64{}
+	prog.KernelData = map[uint64]int64{}
+	for page := uint64(0); page < 16; page++ {
+		for w := uint64(0); w < 20; w++ {
+			va := 0x40_0000 + page*0x1_3000 + w*0xc8
+			if page%4 == 3 {
+				prog.KernelData[va] = int64(page<<8 | w)
+			} else {
+				prog.Data[va] = int64(page<<8 | w)
+			}
+		}
+	}
+	first := pipeline.BuildMemory(prog)
+	for build := 0; build < 4; build++ {
+		again := pipeline.BuildMemory(prog)
+		for _, words := range []map[uint64]int64{prog.Data, prog.KernelData} {
+			for va, v := range words {
+				got, want := again.Walk(va), first.Walk(va)
+				if got != want {
+					t.Fatalf("build %d: walk %#x = %+v, first build %+v", build, va, got, want)
+				}
+				if x, _ := again.Read(va, true); x != v {
+					t.Fatalf("build %d: mem[%#x] = %d, want %d", build, va, x, v)
+				}
+			}
+		}
+	}
+}

@@ -241,9 +241,10 @@ var executeJob = func(_ context.Context, _ int, j Job) (*core.Results, error) {
 
 // simPool recycles simulators across jobs: a pooled simulator is Reset to
 // the next job's configuration and program, which reuses its ROB, caches,
-// TLBs, shadow structures, predictor tables and — when the memoized program
-// repeats — the loaded memory image. Reset guarantees run-for-run identical
-// results, so pooling is invisible in every sink (CI gates byte-equality).
+// TLBs, shadow structures and predictor tables, and rebinds its working
+// memory to the program's shared copy-on-write image. Reset guarantees
+// run-for-run identical results, so pooling is invisible in every sink (CI
+// gates byte-equality).
 var simPool sync.Pool
 
 // execute builds and runs one job, recovering panics into an error.

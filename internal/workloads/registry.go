@@ -135,12 +135,12 @@ type progKey struct {
 // progCache memoizes assembled programs per (benchmark, seed): generation
 // and assembly of the larger kernels costs more than a short simulation, and
 // sweep matrices run the same kernel under several modes and instruction
-// budgets. Programs are immutable after Build (the simulator loads their
-// image into its own memory and never writes back), so sharing one
+// budgets. Programs are immutable after Build (the simulator maps their
+// memory image copy-on-write and never writes back), so sharing one
 // *isa.Program across concurrent jobs is safe — and the stable pointer is
-// what lets simulator reuse detect "same program" and roll back its memory
-// instead of rebuilding it. The cache holds one entry per (benchmark, seed)
-// ever requested; seed fans are small in practice.
+// what core keys its per-program memory images by, so each image is built
+// once per process. The cache holds one entry per (benchmark, seed) ever
+// requested; seed fans are small in practice.
 var progCache sync.Map
 
 // Program returns the memoized kernel for the named benchmark under the
