@@ -4,7 +4,7 @@
 // the job matrix, the Server's lease coordinator hands each job to the
 // next polling Worker, and results stream back to the client, which
 // delivers them through sweep.Run's deterministic in-order sinks — so
-// JSONL/CSV output of a distributed sweep is byte-identical to a local
+// JSONL output of a distributed sweep is byte-identical to a local
 // run. Worker and RemoteExecutor share one wire client (client.go).
 //
 // A lease that is not completed before its TTL (worker crash, network

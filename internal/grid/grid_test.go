@@ -84,23 +84,23 @@ func startGrid(t testing.TB, opts ServerOptions) (*Server, *httptest.Server, *Re
 }
 
 // TestGridEndToEnd is the acceptance property: a sweep executed by two
-// worker processes over HTTP produces byte-identical JSONL/CSV output and
+// worker processes over HTTP produces byte-identical JSONL output and
 // identical aggregate accounting to a local run.
 func TestGridEndToEnd(t *testing.T) {
 	jobs := smallJobs(t)
 
 	runWith := func(exec sweep.Executor, workers int) (string, sweep.Aggregate) {
-		var jsonl, csv bytes.Buffer
+		var jsonl bytes.Buffer
 		var agg sweep.Aggregate
 		_, err := sweep.Run(context.Background(), jobs, sweep.Options{
 			Workers:  workers,
 			Executor: exec,
-			Sinks:    []sweep.Sink{sweep.NewJSONL(&jsonl), sweep.NewCSV(&csv), &agg},
+			Sinks:    []sweep.Sink{sweep.NewJSONL(&jsonl), &agg},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return jsonl.String() + "\n---\n" + csv.String(), agg
+		return jsonl.String(), agg
 	}
 
 	local, localAgg := runWith(nil, 0)

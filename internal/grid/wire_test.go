@@ -167,23 +167,23 @@ func oldPeerWorker(t *testing.T, ctx context.Context, url string) {
 }
 
 // TestNoTimingPeerByteIdenticalSweep runs a whole sweep through a fleet of
-// pre-timing workers and checks the JSONL/CSV sinks byte-for-byte against a
+// pre-timing workers and checks the JSONL sink byte-for-byte against a
 // local run: span timing is diagnostic, so its absence on the wire must be
 // invisible in sweep output.
 func TestNoTimingPeerByteIdenticalSweep(t *testing.T) {
 	jobs := smallJobs(t, "exchange2")
 
 	runWith := func(exec sweep.Executor) string {
-		var jsonl, csv bytes.Buffer
+		var jsonl bytes.Buffer
 		_, err := sweep.Run(context.Background(), jobs, sweep.Options{
 			Workers:  len(jobs),
 			Executor: exec,
-			Sinks:    []sweep.Sink{sweep.NewJSONL(&jsonl), sweep.NewCSV(&csv)},
+			Sinks:    []sweep.Sink{sweep.NewJSONL(&jsonl)},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return jsonl.String() + "\n---\n" + csv.String()
+		return jsonl.String()
 	}
 
 	local := runWith(nil)

@@ -47,15 +47,15 @@ func TestColdWarmDeterminism(t *testing.T) {
 	jobs := smallJobs(t)
 	runOnce := func() (string, int64) {
 		counting := &countingExecutor{inner: sweep.LocalExecutor{}}
-		var jsonl, csv bytes.Buffer
+		var jsonl bytes.Buffer
 		_, err := sweep.Run(context.Background(), jobs, sweep.Options{
 			Executor: NewExecutor(cache, counting),
-			Sinks:    []sweep.Sink{sweep.NewJSONL(&jsonl), sweep.NewCSV(&csv)},
+			Sinks:    []sweep.Sink{sweep.NewJSONL(&jsonl)},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return jsonl.String() + "\n---\n" + csv.String(), counting.executed.Load()
+		return jsonl.String(), counting.executed.Load()
 	}
 
 	cold, coldExecs := runOnce()

@@ -142,12 +142,10 @@ func Quick() MatrixSpec {
 	}
 }
 
-// Full returns the pinned full evaluation matrix: all 21 benchmarks (nil
-// selects the complete registry in figure order) under the three standard
-// modes at a larger committed-instruction budget than Quick, so
-// per-benchmark throughput rows are meaningful. Like Quick it is fully
-// deterministic and must stay pinned: perf reports record the matrix
-// identity and Compare refuses to gate reports whose matrices differ.
+// Full returns the full evaluation matrix: all 21 benchmarks (nil selects
+// the complete registry in figure order) under the three standard modes at
+// a larger committed-instruction budget than Quick. Like Quick it is fully
+// deterministic.
 func Full() MatrixSpec {
 	return MatrixSpec{
 		Instructions:    50_000,

@@ -1,11 +1,9 @@
 package sweep
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"time"
 
 	"safespec/internal/stats"
@@ -19,8 +17,8 @@ type Sink interface {
 	Flush() error
 }
 
-// Row is the serialized form of one result shared by the JSONL and CSV
-// sinks. It contains only fields that are deterministic for a given job —
+// Row is the serialized form of one result written by the JSONL sink. It
+// contains only fields that are deterministic for a given job —
 // never wall-clock times — so sink output is byte-identical across runs and
 // worker counts.
 type Row struct {
@@ -82,53 +80,6 @@ func (j *JSONL) Observe(r Result) error { return j.enc.Encode(MakeRow(r)) }
 
 // Flush is a no-op; every Observe writes through.
 func (j *JSONL) Flush() error { return nil }
-
-// CSV streams results as comma-separated rows with a header line.
-type CSV struct {
-	w      *csv.Writer
-	header bool
-}
-
-// NewCSV builds a CSV sink over w.
-func NewCSV(w io.Writer) *CSV { return &CSV{w: csv.NewWriter(w)} }
-
-// Observe writes the result's row, emitting the header first.
-func (c *CSV) Observe(r Result) error {
-	if !c.header {
-		c.header = true
-		if err := c.w.Write([]string{"bench", "mode", "seed", "threads", "cycles", "committed",
-			"ipc", "mispredicts", "d_miss_rate", "i_miss_rate",
-			"d_shadow_hit_share", "i_shadow_hit_share",
-			"commit_rate_d", "commit_rate_i", "err"}); err != nil {
-			return err
-		}
-	}
-	row := MakeRow(r)
-	threads := row.Threads
-	if threads == 0 {
-		threads = 1
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	return c.w.Write([]string{
-		row.Bench, row.Mode,
-		strconv.FormatInt(row.Seed, 10),
-		strconv.Itoa(threads),
-		strconv.FormatUint(row.Cycles, 10),
-		strconv.FormatUint(row.Committed, 10),
-		f(row.IPC),
-		strconv.FormatUint(row.Mispredicts, 10),
-		f(row.DMissRate), f(row.IMissRate),
-		f(row.DShadowHitShare), f(row.IShadowHitShare),
-		f(row.CommitRateD), f(row.CommitRateI),
-		row.Err,
-	})
-}
-
-// Flush drains the csv writer.
-func (c *CSV) Flush() error {
-	c.w.Flush()
-	return c.w.Error()
-}
 
 // Aggregate accumulates sweep-level accounting: job counts, summed per-job
 // wall time (worker-busy time) and committed instructions, plus per-(bench,

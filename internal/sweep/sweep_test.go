@@ -335,24 +335,6 @@ func TestJSONLRows(t *testing.T) {
 	}
 }
 
-func TestCSVRows(t *testing.T) {
-	jobs := smallMatrix(t)[:3]
-	var buf bytes.Buffer
-	if _, err := Run(context.Background(), jobs, Options{Sinks: []Sink{NewCSV(&buf)}}); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 4 { // header + 3 rows
-		t.Fatalf("want header + 3 rows, got %d lines", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "bench,mode,seed,threads,cycles,committed,ipc") {
-		t.Errorf("bad header: %s", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "exchange2,baseline,0,1,") {
-		t.Errorf("bad first row: %s", lines[1])
-	}
-}
-
 func TestAggregate(t *testing.T) {
 	jobs := smallMatrix(t)
 	jobs = append(jobs, Job{Bench: "nope", Mode: "baseline"})
