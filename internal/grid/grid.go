@@ -113,12 +113,6 @@ type Options struct {
 	// worker's local trouble never condemns a job; 1 quarantines on the
 	// first incident).
 	QuarantineAfter int
-	// UnhealthyAfter is the decayed penalty score at or above which a
-	// worker is refused leases while a healthy worker is live (default 4:
-	// two lease expiries or two incidents inside one half-life).
-	UnhealthyAfter float64
-	// HealthHalfLife is the penalty decay half-life (default 5 minutes).
-	HealthHalfLife time.Duration
 	// HedgeAfter tunes tail-lease hedging: once the queue is empty and a
 	// remaining lease is older than this, a duplicate hedge lease is issued
 	// to the next healthy poller. 0 (the default) adapts the threshold to
@@ -219,12 +213,6 @@ func newCoordinator(opts Options) *coordinator {
 	}
 	if opts.QuarantineAfter <= 0 {
 		opts.QuarantineAfter = 2
-	}
-	if opts.UnhealthyAfter <= 0 {
-		opts.UnhealthyAfter = 4
-	}
-	if opts.HealthHalfLife <= 0 {
-		opts.HealthHalfLife = 5 * time.Minute
 	}
 	if opts.now == nil {
 		opts.now = time.Now

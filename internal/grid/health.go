@@ -21,7 +21,7 @@ import (
 //   - Worker health scoring: every worker contact (lease poll, heartbeat,
 //     result) refreshes a registry entry; lease expiries, incidents and
 //     checksum failures add penalty points that decay with a half-life.
-//     A worker whose decayed penalty crosses UnhealthyAfter is refused
+//     A worker whose decayed penalty crosses unhealthyAfter is refused
 //     leases while at least one healthy worker is live — and granted
 //     anyway when none is, so a degraded fleet never deadlocks.
 //
@@ -89,13 +89,15 @@ type taskIncident struct {
 }
 
 // Health scoring constants. Penalties are points added to a worker's
-// decaying score; Options.UnhealthyAfter (default 4) is the refusal
-// threshold, so e.g. two lease expiries inside one half-life sideline a
-// worker while a single contained incident does not.
+// decaying score; unhealthyAfter is the refusal threshold, so e.g. two
+// lease expiries inside one half-life sideline a worker while a single
+// contained incident does not.
 const (
-	expiryPenalty   = 2.0 // a lease lost to TTL: crash, wedge or partition
-	incidentPenalty = 2.0 // a contained job failure reported by the worker
-	checksumPenalty = 1.0 // a request body damaged in transit from the worker
+	unhealthyAfter  = 4               // two lease expiries or two incidents inside one half-life
+	healthHalfLife  = 5 * time.Minute // penalty decay half-life
+	expiryPenalty   = 2.0             // a lease lost to TTL: crash, wedge or partition
+	incidentPenalty = 2.0             // a contained job failure reported by the worker
+	checksumPenalty = 1.0             // a request body damaged in transit from the worker
 	// workerLiveWindow bounds how stale a "healthy" worker's last contact
 	// may be when deciding whether an unhealthy poller can be refused: a
 	// worker nobody has heard from cannot take the refused job.
@@ -122,18 +124,18 @@ type workerHealth struct {
 	penaltyAt time.Time
 }
 
-// penaltyNow returns the penalty decayed to now: each HealthHalfLife
+// penaltyNow returns the penalty decayed to now: each healthHalfLife
 // elapsed since the last update halves it, so old sins wash out and a
 // recovered worker rejoins the lease rotation without operator action.
-func (wh *workerHealth) penaltyNow(now time.Time, halfLife time.Duration) float64 {
-	if wh.penalty == 0 || halfLife <= 0 {
+func (wh *workerHealth) penaltyNow(now time.Time) float64 {
+	if wh.penalty == 0 {
 		return wh.penalty
 	}
 	dt := now.Sub(wh.penaltyAt)
 	if dt <= 0 {
 		return wh.penalty
 	}
-	return wh.penalty * math.Exp2(-float64(dt)/float64(halfLife))
+	return wh.penalty * math.Exp2(-float64(dt)/float64(healthHalfLife))
 }
 
 // WorkerHealthSnapshot is one registry entry in a Snapshot, served on
@@ -141,7 +143,7 @@ func (wh *workerHealth) penaltyNow(now time.Time, halfLife time.Duration) float6
 type WorkerHealthSnapshot struct {
 	ID string `json:"id"`
 	// Healthy is the lease-grant gate: decayed penalty under the
-	// UnhealthyAfter threshold.
+	// unhealthyAfter threshold.
 	Healthy bool    `json:"healthy"`
 	Penalty float64 `json:"penalty"`
 	Busy    int     `json:"busy"`
@@ -179,7 +181,7 @@ func (c *coordinator) penalizeLocked(wh *workerHealth, points float64, now time.
 	if wh == nil {
 		return
 	}
-	wh.penalty = wh.penaltyNow(now, c.opts.HealthHalfLife) + points
+	wh.penalty = wh.penaltyNow(now) + points
 	wh.penaltyAt = now
 }
 
@@ -188,7 +190,7 @@ func (c *coordinator) healthyLocked(wh *workerHealth, now time.Time) bool {
 	if wh == nil {
 		return true // untracked pollers are not refused
 	}
-	return wh.penaltyNow(now, c.opts.HealthHalfLife) < c.opts.UnhealthyAfter
+	return wh.penaltyNow(now) < unhealthyAfter
 }
 
 // anyOtherHealthyLocked reports whether a worker other than `except` is
@@ -248,7 +250,7 @@ func (c *coordinator) workerSnapshotsLocked(now time.Time) []WorkerHealthSnapsho
 		out = append(out, WorkerHealthSnapshot{
 			ID:            id,
 			Healthy:       c.healthyLocked(wh, now),
-			Penalty:       math.Round(wh.penaltyNow(now, c.opts.HealthHalfLife)*100) / 100,
+			Penalty:       math.Round(wh.penaltyNow(now)*100) / 100,
 			Busy:          wh.busy,
 			LastSeenMS:    now.Sub(wh.lastSeen).Milliseconds(),
 			Leased:        wh.leased,

@@ -17,17 +17,23 @@ import (
 
 // The coordinator's durable state lives under one directory (-state-dir):
 //
-//	<dir>/VERSION        format version, one decimal line
-//	<dir>/snapshot.json  full sweep state at the last compaction (atomic rename)
-//	<dir>/journal.wal    mutations appended since the snapshot
+//	<dir>/VERSION       format version, one decimal line
+//	<dir>/snapshot.wal  the state at the last compaction (atomic rename)
+//	<dir>/journal.wal   mutations appended since the snapshot
 //
-// Every sweep mutation — creation, job enqueue, result delivery, release —
-// is appended to the journal as one framed record:
+// Both .wal files are sequences of the same framed records:
 //
 //	[4B big-endian payload length][4B big-endian CRC32-IEEE][JSON payload]
 //
-// A restart replays snapshot + journal; a torn or corrupt tail (the frame a
-// kill -9 interrupted) is discarded cleanly, losing at most the final
+// Every sweep mutation — creation, job enqueue, result delivery, incident,
+// release — is appended to the journal as one record. A snapshot is the
+// compacted form of the same records (see compact): per live sweep its
+// open, its jobs, its completion log and the incidents of its unfinished
+// jobs, nothing else.
+//
+// A restart reads the snapshot, then the journal, and replays both through
+// one record loop. A torn or corrupt journal tail (the frame a kill -9
+// interrupted) is discarded cleanly, losing at most the final
 // un-acknowledged append. Replay is idempotent, so duplicate records — a
 // crash between snapshot rename and journal truncation replays both copies
 // — coalesce instead of corrupting state. After replay the store compacts:
@@ -40,8 +46,8 @@ import (
 // last snapshot trade that durability for throughput deliberately.
 
 // stateFormatVersion is the on-disk format version of both files. Bump it
-// when the record or snapshot encoding changes incompatibly.
-const stateFormatVersion = 1
+// when the record encoding or the file layout changes incompatibly.
+const stateFormatVersion = 2
 
 // Journal record operations.
 const (
@@ -52,7 +58,6 @@ const (
 	// opIncident records one contained worker failure against a job, so
 	// quarantine history survives a restart (a poison job must not get a
 	// fresh set of K workers to burn after every coordinator crash).
-	// Readers predating the op ignore it, so the format version stays 1.
 	opIncident = "incident"
 )
 
@@ -72,43 +77,9 @@ type journalRecord struct {
 	Message string `json:"message,omitempty"`
 }
 
-// stateSnapshot is the snapshot.json format.
-type stateSnapshot struct {
-	Version int             `json:"version"`
-	Sweeps  []sweepSnapshot `json:"sweeps"`
-}
-
-// sweepSnapshot is one sweep's durable state: identity, ownership, the
-// submitted jobs, and the completion log in completion order (the order
-// client result cursors index into).
-type sweepSnapshot struct {
-	ID     string         `json:"id"`
-	Nonce  string         `json:"nonce,omitempty"`
-	Tenant string         `json:"tenant,omitempty"`
-	Jobs   []jobEntry     `json:"jobs"`
-	Log    []sweep.Result `json:"log"`
-	// Incidents is the contained-failure history of jobs not yet
-	// completed, feeding the quarantine threshold across restarts (history
-	// for completed jobs is dropped at compaction).
-	Incidents []incidentEntry `json:"incidents,omitempty"`
-}
-
-// jobEntry is one submitted job keyed by its sweep index.
-type jobEntry struct {
-	Index int       `json:"index"`
-	Job   sweep.Job `json:"job"`
-}
-
-// incidentEntry is one recorded incident keyed by its job's sweep index.
-type incidentEntry struct {
-	Index   int    `json:"index"`
-	Worker  string `json:"worker"`
-	Kind    string `json:"kind"`
-	Message string `json:"message,omitempty"`
-}
-
-// recoveredSweep is one sweep reconstructed by replay, in a form the
-// Server adopts directly.
+// recoveredSweep is one sweep's durable state: built by replay for the
+// Server to adopt directly, and by Server.CloseState from live state for
+// compact.
 type recoveredSweep struct {
 	ID, Nonce, Tenant string
 	Jobs              map[int]sweep.Job
@@ -154,37 +125,34 @@ func openState(dir string) (*stateStore, []recoveredSweep, int, error) {
 		return nil, nil, 0, fmt.Errorf("grid: state dir: %w", err)
 	}
 
-	var snap stateSnapshot
-	spath := filepath.Join(dir, "snapshot.json")
-	if b, err := os.ReadFile(spath); err == nil {
-		if jerr := json.Unmarshal(b, &snap); jerr != nil {
-			// snapshot.json is only ever published by atomic rename, so a
-			// parse failure means external damage — refuse rather than
-			// silently forget every sweep.
-			return nil, nil, 0, fmt.Errorf("grid: corrupt snapshot %s: %w", spath, jerr)
+	// Recover: the snapshot's records, then the journal's, through one
+	// replay loop.
+	var records []journalRecord
+	torn := 0
+	for _, name := range []string{"snapshot.wal", "journal.wal"} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil && !os.IsNotExist(err) {
+			return nil, nil, 0, fmt.Errorf("grid: state dir: %w", err)
 		}
-		if snap.Version != stateFormatVersion {
-			return nil, nil, 0, fmt.Errorf("grid: snapshot %s holds format %d, this binary writes format %d",
-				spath, snap.Version, stateFormatVersion)
+		var recs []journalRecord
+		recs, torn = readJournal(b)
+		if torn > 0 && name == "snapshot.wal" {
+			// The snapshot is only ever published by atomic rename, so an
+			// unreadable frame means external damage — refuse rather than
+			// silently forget every sweep after it.
+			return nil, nil, 0, fmt.Errorf("grid: corrupt snapshot %s: %d unreadable bytes", filepath.Join(dir, name), torn)
 		}
-	} else if !os.IsNotExist(err) {
-		return nil, nil, 0, fmt.Errorf("grid: state dir: %w", err)
+		records = append(records, recs...)
 	}
-
-	jpath := filepath.Join(dir, "journal.wal")
-	records, torn, err := readJournal(jpath)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	recovered := replayState(snap, records)
+	recovered := replayState(records)
 
 	st := &stateStore{dir: dir}
 	// Compact: the merged state becomes the new baseline snapshot, and the
 	// journal restarts empty (also clipping any torn tail off disk).
-	if err := st.writeSnapshot(recoveredSnapshots(recovered)); err != nil {
+	if err := st.writeSnapshot(compact(recovered)); err != nil {
 		return nil, nil, 0, err
 	}
-	f, err := os.OpenFile(jpath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, "journal.wal"), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("grid: state dir: %w", err)
 	}
@@ -192,80 +160,61 @@ func openState(dir string) (*stateStore, []recoveredSweep, int, error) {
 	return st, recovered, torn, nil
 }
 
-// readJournal parses every intact frame of the journal, reporting how many
-// trailing bytes were discarded as torn or corrupt. A missing journal is
-// an empty one.
-func readJournal(path string) ([]journalRecord, int, error) {
-	b, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("grid: read journal: %w", err)
-	}
+// readJournal parses the longest prefix of b made of intact frames and
+// returns its records plus the count of bytes after that prefix: a torn
+// final frame, or a corrupt one and everything after it, which is suspect
+// too.
+func readJournal(b []byte) ([]journalRecord, int) {
 	var records []journalRecord
 	off := 0
-	for {
-		if off+8 > len(b) {
-			break
-		}
-		n := int(binary.BigEndian.Uint32(b[off:]))
+	for len(b)-off >= 8 {
+		n := binary.BigEndian.Uint32(b[off:])
 		sum := binary.BigEndian.Uint32(b[off+4:])
-		if off+8+n > len(b) {
+		if uint64(n) > uint64(len(b)-off-8) {
 			break // torn final frame
 		}
-		payload := b[off+8 : off+8+n]
+		payload := b[off+8 : off+8+int(n)]
 		if crc32.ChecksumIEEE(payload) != sum {
-			break // corrupt frame: everything after it is suspect too
+			break
 		}
 		var rec journalRecord
-		if jerr := json.Unmarshal(payload, &rec); jerr != nil {
+		if json.Unmarshal(payload, &rec) != nil {
 			break
 		}
 		records = append(records, rec)
-		off += 8 + n
+		off += 8 + int(n)
 	}
-	return records, len(b) - off, nil
+	return records, len(b) - off
 }
 
-// replayState applies the journal on top of the snapshot, idempotently:
-// duplicate opens, job re-adds and result re-deliveries (the crash window
-// between snapshot rename and journal truncation replays records the
-// snapshot already holds) coalesce to one copy, in original order.
-func replayState(snap stateSnapshot, records []journalRecord) []recoveredSweep {
+// appendFrame appends rec to b as one frame. It is the only encoder of
+// durable state: journal appends and snapshots both go through it.
+func appendFrame(b []byte, rec journalRecord) ([]byte, error) {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return b, fmt.Errorf("grid: journal encode: %w", err)
+	}
+	b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	return append(b, payload...), nil
+}
+
+// replayState applies records in order, idempotently: duplicate opens, job
+// re-adds and result re-deliveries (the crash window between snapshot
+// rename and journal truncation replays records the snapshot already
+// holds) coalesce to one copy, in original order.
+func replayState(records []journalRecord) []recoveredSweep {
 	byID := make(map[string]*recoveredSweep)
 	var order []string
-	add := func(id, nonce, tenant string) *recoveredSweep {
-		if rs, ok := byID[id]; ok {
-			return rs
-		}
-		rs := &recoveredSweep{ID: id, Nonce: nonce, Tenant: tenant,
-			Jobs: make(map[int]sweep.Job), Incidents: make(map[int][]taskIncident),
-			logged: make(map[int]bool)}
-		byID[id] = rs
-		order = append(order, id)
-		return rs
-	}
-	for _, ss := range snap.Sweeps {
-		rs := add(ss.ID, ss.Nonce, ss.Tenant)
-		for _, je := range ss.Jobs {
-			rs.Jobs[je.Index] = je.Job
-		}
-		for _, res := range ss.Log {
-			if !rs.logged[res.Index] {
-				rs.logged[res.Index] = true
-				rs.Log = append(rs.Log, res)
-			}
-		}
-		for _, ie := range ss.Incidents {
-			rs.Incidents[ie.Index] = append(rs.Incidents[ie.Index],
-				taskIncident{Worker: ie.Worker, Kind: ie.Kind, Message: ie.Message})
-		}
-	}
 	for _, rec := range records {
 		switch rec.Op {
 		case opOpen:
-			add(rec.Sweep, rec.Nonce, rec.Tenant)
+			if _, ok := byID[rec.Sweep]; !ok {
+				byID[rec.Sweep] = &recoveredSweep{ID: rec.Sweep, Nonce: rec.Nonce, Tenant: rec.Tenant,
+					Jobs: make(map[int]sweep.Job), Incidents: make(map[int][]taskIncident),
+					logged: make(map[int]bool)}
+				order = append(order, rec.Sweep)
+			}
 		case opJob:
 			if rs, ok := byID[rec.Sweep]; ok && rec.Job != nil {
 				if _, dup := rs.Jobs[rec.Index]; !dup {
@@ -288,9 +237,7 @@ func replayState(snap stateSnapshot, records []journalRecord) []recoveredSweep {
 					taskIncident{Worker: rec.Worker, Kind: rec.Kind, Message: rec.Message})
 			}
 		case opClose:
-			if _, ok := byID[rec.Sweep]; ok {
-				delete(byID, rec.Sweep)
-			}
+			delete(byID, rec.Sweep)
 		}
 	}
 	out := make([]recoveredSweep, 0, len(byID))
@@ -302,74 +249,83 @@ func replayState(snap stateSnapshot, records []journalRecord) []recoveredSweep {
 	return out
 }
 
-// recoveredSnapshots renders recovered sweeps back into snapshot form,
-// with jobs sorted by index so compaction is deterministic.
-func recoveredSnapshots(recovered []recoveredSweep) []sweepSnapshot {
-	out := make([]sweepSnapshot, 0, len(recovered))
-	for _, rs := range recovered {
-		ss := sweepSnapshot{ID: rs.ID, Nonce: rs.Nonce, Tenant: rs.Tenant, Log: rs.Log}
-		for idx, j := range rs.Jobs {
-			ss.Jobs = append(ss.Jobs, jobEntry{Index: idx, Job: j})
+// compact renders sweeps as the shortest record sequence that replays to
+// them. Per sweep, in the given order: its opOpen; its opJobs in index
+// order; its opResults in completion-log order, so client cursors index
+// the same log after a restart; and opIncidents for the jobs with no result
+// yet, sorted by (index, worker), so compaction is deterministic. History
+// of completed jobs is dropped: it can no longer quarantine anything.
+func compact(sweeps []recoveredSweep) []journalRecord {
+	var recs []journalRecord
+	for _, rs := range sweeps {
+		recs = append(recs, journalRecord{Op: opOpen, Sweep: rs.ID, Nonce: rs.Nonce, Tenant: rs.Tenant})
+		indexes := make([]int, 0, len(rs.Jobs))
+		for idx := range rs.Jobs {
+			indexes = append(indexes, idx)
 		}
-		sort.Slice(ss.Jobs, func(i, j int) bool { return ss.Jobs[i].Index < ss.Jobs[j].Index })
+		sort.Ints(indexes)
+		for _, idx := range indexes {
+			j := rs.Jobs[idx]
+			recs = append(recs, journalRecord{Op: opJob, Sweep: rs.ID, Index: idx, Job: &j})
+		}
+		done := make(map[int]bool, len(rs.Log))
+		for i := range rs.Log {
+			done[rs.Log[i].Index] = true
+			recs = append(recs, journalRecord{Op: opResult, Sweep: rs.ID, Result: &rs.Log[i]})
+		}
+		var incidents []journalRecord
 		for idx, hist := range rs.Incidents {
-			if rs.logged[idx] {
-				continue // the job completed; its incident history is spent
+			if done[idx] {
+				continue
 			}
 			for _, ti := range hist {
-				ss.Incidents = append(ss.Incidents, incidentEntry{
-					Index: idx, Worker: ti.Worker, Kind: ti.Kind, Message: ti.Message})
+				incidents = append(incidents, journalRecord{Op: opIncident, Sweep: rs.ID, Index: idx,
+					Worker: ti.Worker, Kind: ti.Kind, Message: ti.Message})
 			}
 		}
-		sort.Slice(ss.Incidents, func(i, j int) bool {
-			a, b := ss.Incidents[i], ss.Incidents[j]
+		sort.SliceStable(incidents, func(i, j int) bool {
+			a, b := incidents[i], incidents[j]
 			if a.Index != b.Index {
 				return a.Index < b.Index
 			}
 			return a.Worker < b.Worker
 		})
-		out = append(out, ss)
+		recs = append(recs, incidents...)
 	}
-	return out
+	return recs
 }
 
 // append journals one mutation. Failures are returned for the caller to
 // log; the in-memory state is already authoritative, so a failed append
 // degrades durability, not correctness of the running process.
 func (st *stateStore) append(rec journalRecord) error {
-	payload, err := json.Marshal(rec)
+	frame, err := appendFrame(nil, rec)
 	if err != nil {
-		return fmt.Errorf("grid: journal encode: %w", err)
+		return err
 	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
 		return fmt.Errorf("grid: journal closed")
 	}
 	// One Write call per frame: short writes on a local file are I/O
-	// errors, not partial successes, and frame+payload going down together
-	// keeps a concurrent append from interleaving mid-frame.
-	buf := make([]byte, 0, 8+len(payload))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, payload...)
-	if _, err := st.f.Write(buf); err != nil {
+	// errors, not partial successes, and the whole frame going down
+	// together keeps a concurrent append from interleaving mid-frame.
+	if _, err := st.f.Write(frame); err != nil {
 		return fmt.Errorf("grid: journal append: %w", err)
 	}
 	return nil
 }
 
-// writeSnapshot publishes sweeps as snapshot.json via temp+fsync+rename,
+// writeSnapshot publishes records as snapshot.wal via temp+fsync+rename,
 // so a crash at any point leaves either the old or the new snapshot intact.
-func (st *stateStore) writeSnapshot(sweeps []sweepSnapshot) error {
-	if sweeps == nil {
-		sweeps = []sweepSnapshot{}
-	}
-	b, err := json.Marshal(stateSnapshot{Version: stateFormatVersion, Sweeps: sweeps})
-	if err != nil {
-		return fmt.Errorf("grid: snapshot encode: %w", err)
+func (st *stateStore) writeSnapshot(records []journalRecord) error {
+	var b []byte
+	for _, rec := range records {
+		var err error
+		if b, err = appendFrame(b, rec); err != nil {
+			return err
+		}
 	}
 	tmp, err := os.CreateTemp(st.dir, "snapshot-*.tmp")
 	if err != nil {
@@ -387,23 +343,23 @@ func (st *stateStore) writeSnapshot(sweeps []sweepSnapshot) error {
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("grid: snapshot: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(st.dir, "snapshot.json")); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(st.dir, "snapshot.wal")); err != nil {
 		return fmt.Errorf("grid: snapshot: %w", err)
 	}
 	return nil
 }
 
-// close writes a final snapshot of sweeps, truncates the journal (its
+// close writes records as the final snapshot, truncates the journal (its
 // contents are folded into the snapshot) and closes the file. Part of
 // graceful shutdown; a kill -9 skips it and recovers from the journal.
-func (st *stateStore) close(sweeps []sweepSnapshot) error {
+func (st *stateStore) close(records []journalRecord) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
 		return nil
 	}
 	st.closed = true
-	err := st.writeSnapshot(sweeps)
+	err := st.writeSnapshot(records)
 	if terr := st.f.Truncate(0); err == nil && terr != nil {
 		err = fmt.Errorf("grid: journal truncate: %w", terr)
 	}

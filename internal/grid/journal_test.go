@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -9,6 +10,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"safespec/internal/core"
@@ -19,7 +22,7 @@ import (
 // scriptRecords builds a realistic journal script: one sweep opened with a
 // nonce, jobs enqueued, some results delivered, and a second sweep opened
 // and closed (so replay must drop it).
-func scriptRecords(t *testing.T) []journalRecord {
+func scriptRecords(t testing.TB) []journalRecord {
 	t.Helper()
 	jobs := smallJobs(t, "exchange2")
 	if len(jobs) < 3 {
@@ -48,7 +51,7 @@ func scriptRecords(t *testing.T) []journalRecord {
 }
 
 // writeFrames renders records into the on-disk journal frame format.
-func writeFrames(t *testing.T, recs []journalRecord) []byte {
+func writeFrames(t testing.TB, recs []journalRecord) []byte {
 	t.Helper()
 	dir := t.TempDir()
 	st, recovered, torn, err := openState(dir)
@@ -86,12 +89,7 @@ func stateDirWithJournal(t *testing.T, wal []byte) string {
 // TestJournalRoundTrip: records survive the frame encoding byte-exactly.
 func TestJournalRoundTrip(t *testing.T) {
 	recs := scriptRecords(t)
-	wal := writeFrames(t, recs)
-	dir := stateDirWithJournal(t, wal)
-	got, torn, err := readJournal(filepath.Join(dir, "journal.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, torn := readJournal(writeFrames(t, recs))
 	if torn != 0 {
 		t.Fatalf("intact journal reported %d torn bytes", torn)
 	}
@@ -140,11 +138,7 @@ func TestJournalTornTailDiscarded(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.mut()
-			dir := stateDirWithJournal(t, b)
-			got, torn, err := readJournal(filepath.Join(dir, "journal.wal"))
-			if err != nil {
-				t.Fatal(err)
-			}
+			got, torn := readJournal(b)
 			if len(got) != tc.want {
 				t.Fatalf("recovered %d records, want %d", len(got), tc.want)
 			}
@@ -161,17 +155,21 @@ func TestJournalTornTailDiscarded(t *testing.T) {
 
 // TestReplayIdempotent: a crash between snapshot rename and journal
 // truncation replays records the snapshot already holds; the merged state
-// must hold exactly one copy of everything, in original order.
+// must hold exactly one copy of everything, in original order — both for
+// records replayed in memory and for an on-disk state dir left in that
+// window.
 func TestReplayIdempotent(t *testing.T) {
 	recs := scriptRecords(t)
 	// Snapshot as if everything up to the first result was compacted.
 	jobs := smallJobs(t, "exchange2")
-	snap := stateSnapshot{Version: stateFormatVersion, Sweeps: []sweepSnapshot{{
-		ID: "s-aaaa", Nonce: "n-1", Tenant: "anonymous",
-		Jobs: []jobEntry{{Index: 0, Job: jobs[0]}, {Index: 1, Job: jobs[1]}},
-		Log:  []sweep.Result{{Index: 1, Job: jobs[1], Res: &core.Results{Stats: &pipeline.Stats{Committed: 2}}}},
-	}}}
-	recovered := replayState(snap, recs)
+	snap := []journalRecord{
+		{Op: opOpen, Sweep: "s-aaaa", Nonce: "n-1", Tenant: "anonymous"},
+		{Op: opJob, Sweep: "s-aaaa", Index: 0, Job: &jobs[0]},
+		{Op: opJob, Sweep: "s-aaaa", Index: 1, Job: &jobs[1]},
+		{Op: opResult, Sweep: "s-aaaa", Result: &sweep.Result{Index: 1, Job: jobs[1],
+			Res: &core.Results{Stats: &pipeline.Stats{Committed: 2}}}},
+	}
+	recovered := replayState(append(snap, recs...))
 	if len(recovered) != 1 {
 		t.Fatalf("recovered %d sweeps, want 1 (s-bbbb was closed)", len(recovered))
 	}
@@ -190,10 +188,42 @@ func TestReplayIdempotent(t *testing.T) {
 	if rs.Log[0].Index != 1 || rs.Log[1].Index != 0 {
 		t.Errorf("completion order not preserved: [%d, %d]", rs.Log[0].Index, rs.Log[1].Index)
 	}
+
+	// On disk: compact the journal into snapshot.wal, then put the journal
+	// back untruncated, as a crash between rename and truncate leaves it.
+	wal := writeFrames(t, recs)
+	dir := stateDirWithJournal(t, wal)
+	if _, _, _, err := openState(dir); err != nil {
+		t.Fatal(err)
+	}
+	compacted, err := os.ReadFile(filepath.Join(dir, "snapshot.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal.wal"), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, reopened, torn, err := openState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if torn != 0 || len(reopened) != 1 {
+		t.Fatalf("crash-window reopen: %d sweeps, %d torn bytes; want 1 and 0", len(reopened), torn)
+	}
+	if got := reopened[0].Log; len(got) != 2 || got[0].Index != 1 || got[1].Index != 0 {
+		t.Fatalf("crash-window reopen must hold each result once in completion order [1, 0], got %d results", len(got))
+	}
+	if len(reopened[0].Jobs) != len(jobs) {
+		t.Errorf("crash-window reopen holds %d jobs, want %d", len(reopened[0].Jobs), len(jobs))
+	}
+	// The overlap collapses completely: recompaction is byte-identical.
+	if again, err := os.ReadFile(filepath.Join(dir, "snapshot.wal")); err != nil || !bytes.Equal(again, compacted) {
+		t.Errorf("recompacting the crash window changed snapshot.wal (%v)", err)
+	}
 }
 
 // TestOpenStateCompacts: reopening a state dir folds the journal into
-// snapshot.json and restarts the journal empty, and a third open sees the
+// snapshot.wal and restarts the journal empty, and a third open sees the
 // same state from the snapshot alone.
 func TestOpenStateCompacts(t *testing.T) {
 	wal := writeFrames(t, scriptRecords(t))
@@ -222,19 +252,27 @@ func TestOpenStateCompacts(t *testing.T) {
 	}
 }
 
-// TestOpenStateVersionGuard: a future-format state dir is refused, and a
-// damaged snapshot (only ever published by atomic rename) is refused
-// rather than silently forgetting every sweep.
+// TestOpenStateVersionGuard: a state dir of another format — a future one,
+// or a format-1 dir whose snapshot.json this binary no longer reads — is
+// refused, and a damaged snapshot (only ever published by atomic rename)
+// is refused rather than silently forgetting every sweep.
 func TestOpenStateVersionGuard(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "VERSION"), []byte("99\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := openState(dir); err == nil {
-		t.Fatal("openState accepted a format-99 state dir")
+	for _, layout := range []map[string]string{
+		{"VERSION": "99\n"},
+		{"VERSION": "1\n", "snapshot.json": `{"version":1,"sweeps":[]}`},
+	} {
+		dir := t.TempDir()
+		for name, body := range layout {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, _, err := openState(dir); err == nil {
+			t.Fatalf("openState accepted a format-%s state dir", strings.TrimSpace(layout["VERSION"]))
+		}
 	}
 	dir2 := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir2, "snapshot.json"), []byte("{not json"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir2, "snapshot.wal"), []byte("{not a frame"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := openState(dir2); err == nil {
@@ -442,4 +480,39 @@ func TestRecoveryServesCursorsAndRequeues(t *testing.T) {
 	if got[lease.Index] != 7 {
 		t.Fatalf("pre-crash result re-simulated: committed %d, want the journaled 7", got[lease.Index])
 	}
+}
+
+// FuzzReadJournal fuzzes the frame decoder, the only reader of durable
+// state: whatever bytes a crash or a damaged disk leaves, decoding must not
+// panic, must account every byte as either an intact frame or the torn
+// tail, and the intact prefix must decode again to the same records with
+// nothing torn.
+func FuzzReadJournal(f *testing.F) {
+	wal := writeFrames(f, scriptRecords(f))
+	f.Add(wal)
+	f.Add([]byte{})
+	for off := 0; off < len(wal); off += 8 + int(binary.BigEndian.Uint32(wal[off:])) {
+		// Cuts inside the header and inside the payload of every frame, and
+		// a flipped bit in each of its length, checksum and payload.
+		f.Add(wal[:off+3])
+		f.Add(wal[:off+11])
+		for _, at := range []int{off + 1, off + 5, off + 12} {
+			c := append([]byte(nil), wal...)
+			c[at] ^= 0x10
+			f.Add(c)
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		recs, torn := readJournal(b)
+		if torn < 0 || torn > len(b) {
+			t.Fatalf("torn = %d outside [0, %d]", torn, len(b))
+		}
+		again, torn2 := readJournal(b[:len(b)-torn])
+		if torn2 != 0 {
+			t.Fatalf("intact prefix of %d bytes re-read with %d torn", len(b)-torn, torn2)
+		}
+		if !reflect.DeepEqual(again, recs) {
+			t.Fatalf("intact prefix re-read to %d records, first read %d", len(again), len(recs))
+		}
+	})
 }

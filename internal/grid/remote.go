@@ -13,6 +13,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"safespec/internal/backoff"
@@ -55,10 +56,9 @@ type RemoteExecutor struct {
 
 	mu        sync.Mutex
 	sweepID   string
-	nonce     string            // stable submission nonce: the recovery key across coordinator restarts
-	jobs      map[int]sweep.Job // everything submitted, for re-submission after a restart
-	received  map[int]bool      // indexes already dispatched (dedupes re-streamed results)
-	submitted map[int]bool
+	nonce     string                    // stable submission nonce: the recovery key across coordinator restarts
+	jobs      map[int]sweep.Job         // every claimed index, for re-submission after a restart
+	received  map[int]bool              // indexes already dispatched (dedupes re-streamed results)
 	waiters   map[int]chan sweep.Result // Execute calls parked on an index
 	arrived   map[int]sweep.Result      // streamed results nobody asked for yet
 	streamCtx context.CancelFunc        // non-nil while the streamer runs
@@ -68,6 +68,9 @@ type RemoteExecutor struct {
 	// recMu serializes restart recovery: one goroutine re-resolves the
 	// sweep by nonce while the rest observe the already-updated sweep id.
 	recMu sync.Mutex
+	// recoveries counts restart recoveries since the last result batch
+	// (see recoverSweep).
+	recoveries atomic.Int32
 }
 
 // defaultPollWait balances held-open connections against poll chatter; it
@@ -155,10 +158,8 @@ func (r *RemoteExecutor) Submit(ctx context.Context, jobs []sweep.Job) error {
 	}
 	r.mu.Lock()
 	r.sweepID = resp.SweepID
-	r.submitted = make(map[int]bool, len(jobs))
 	r.jobs = make(map[int]sweep.Job, len(jobs))
 	for i, j := range jobs {
-		r.submitted[i] = true
 		r.jobs[i] = j
 	}
 	r.mu.Unlock()
@@ -259,7 +260,7 @@ func (r *RemoteExecutor) startStreamLocked(id string) {
 }
 
 // maxStreamRecoveries bounds consecutive restart recoveries before the
-// stream gives up: a coordinator that loses the sweep again and again
+// executor gives up: a coordinator that loses the sweep again and again
 // without ever delivering a batch is misconfigured, not mid-restart.
 const maxStreamRecoveries = 5
 
@@ -268,8 +269,8 @@ const maxStreamRecoveries = 5
 // to ask). It exits on Close's cancellation or a terminal coordinator
 // answer; transport faults, 5xx and 429 are ridden out by call, and a
 // coordinator restart (404 for the sweep id, or a connection that stays
-// refused past the retry budget) is ridden out by re-resolving the sweep
-// through its submission nonce and resuming the batch cursor.
+// refused past the retry budget) is ridden out by recoverSweep and
+// resuming the batch cursor.
 func (r *RemoteExecutor) stream(ctx context.Context, id string, end chan struct{}) {
 	defer close(end)
 	wait := r.PollWait
@@ -277,15 +278,54 @@ func (r *RemoteExecutor) stream(ctx context.Context, id string, end chan struct{
 		wait = defaultPollWait
 	}
 	after := 0
-	recoveries := 0
-	recoverSweep := func(cause string) bool {
-		if recoveries++; recoveries > maxStreamRecoveries {
-			return false
+	for {
+		var batch ResultBatch
+		status, err := r.call(ctx, http.MethodGet,
+			fmt.Sprintf("/v1/sweeps/%s/results?after=%d&wait=%s", id, after, wait), nil, &batch)
+		// cause names the recovery attempted below; fail is the stream's
+		// error if that recovery fails.
+		var cause string
+		var fail error
+		switch {
+		case ctx.Err() != nil:
+			r.setStreamErr(fmt.Errorf("stream stopped: %w", ctx.Err()))
+			return
+		case err != nil && !errors.Is(err, errUnauthorized):
+			// The retry budget is exhausted — the shape of a coordinator
+			// down for longer than a blip. Recovery retries the connection
+			// again and re-establishes the sweep if the process that
+			// answers is a fresh one.
+			cause = "unreachable: " + err.Error()
+			fail = fmt.Errorf("grid: stream %s: %w", id, err)
+		case status == http.StatusOK:
+			r.recoveries.Store(0)
+			for _, res := range batch.Results {
+				r.dispatch(res)
+			}
+			after = batch.Next
+			continue
+		case status == http.StatusNotFound:
+			// The coordinator restarted (or abandoned the sweep past its
+			// TTL). The sweep id is random so it can never collide with
+			// another client's; the nonce re-resolves our own sweep — on a
+			// durable coordinator the very same one, cursor intact.
+			cause = "sweep id lost (coordinator restart)"
+			fail = fmt.Errorf("grid: sweep %s expired on coordinator %s (restart without -state-dir, or client idle past the sweep TTL?)", id, r.URL)
+		case status == http.StatusBadRequest && after > 0:
+			// A stale cursor (recovered log shorter than our position, which
+			// a lost unsynced journal tail can produce): restart the stream
+			// from zero and let the received-set drop the duplicates.
+			cause = "stale cursor"
+			fail = fmt.Errorf("grid: stream %s: %w", id, statusErr(status))
+			after = 0
+		default:
+			r.setStreamErr(fmt.Errorf("grid: stream %s: %w", id, statusErr(status)))
+			return
 		}
-		newID, err := r.reresolve(ctx, id)
-		if err != nil {
-			r.log().Warn("sweep recovery failed", "sweep", id, "cause", cause, "err", err.Error())
-			return false
+		newID, rerr := r.recoverSweep(ctx, id, cause)
+		if rerr != nil {
+			r.setStreamErr(fail)
+			return
 		}
 		if newID != id {
 			// A coordinator without durable state opened a fresh sweep: its
@@ -293,64 +333,20 @@ func (r *RemoteExecutor) stream(ctx context.Context, id string, end chan struct{
 			// dedupe swallows any cells streamed twice.
 			id, after = newID, 0
 		}
-		return true
-	}
-	for {
-		var batch ResultBatch
-		status, err := r.call(ctx, http.MethodGet,
-			fmt.Sprintf("/v1/sweeps/%s/results?after=%d&wait=%s", id, after, wait), nil, &batch)
-		switch {
-		case ctx.Err() != nil:
-			r.setStreamErr(fmt.Errorf("stream stopped: %w", ctx.Err()))
-			return
-		case err != nil && !errors.Is(err, errUnauthorized):
-			// The retry budget is exhausted — the shape of a coordinator
-			// down for longer than a blip. Re-resolving retries the
-			// connection again and re-establishes the sweep if the process
-			// that answers is a fresh one.
-			if !recoverSweep("unreachable: " + err.Error()) {
-				r.setStreamErr(fmt.Errorf("grid: stream %s: %w", id, err))
-				return
-			}
-		case status == http.StatusOK:
-			recoveries = 0
-			for _, res := range batch.Results {
-				r.dispatch(res)
-			}
-			after = batch.Next
-		case status == http.StatusNotFound:
-			// The coordinator restarted (or abandoned the sweep past its
-			// TTL). The sweep id is random so it can never collide with
-			// another client's; the nonce re-resolves our own sweep — on a
-			// durable coordinator the very same one, cursor intact.
-			if !recoverSweep("sweep id lost (coordinator restart)") {
-				r.setStreamErr(fmt.Errorf("grid: sweep %s expired on coordinator %s (restart without -state-dir, or client idle past the sweep TTL?)", id, r.URL))
-				return
-			}
-		case status == http.StatusBadRequest:
-			// A stale cursor (recovered log shorter than our position, which
-			// a lost unsynced journal tail can produce): restart the stream
-			// from zero and let the received-set drop the duplicates.
-			if after == 0 || !recoverSweep("stale cursor") {
-				r.setStreamErr(fmt.Errorf("grid: stream %s: %w", id, statusErr(status)))
-				return
-			}
-			after = 0
-		default:
-			r.setStreamErr(fmt.Errorf("grid: stream %s: %w", id, statusErr(status)))
-			return
-		}
 	}
 }
 
-// reresolve recovers from a coordinator that no longer serves lostID: it
-// re-submits the sweep under the executor's stable nonce — a coordinator
-// with durable state answers with the surviving sweep, a stateless one
-// opens a fresh sweep — then idempotently re-posts every known job, so
-// cells the restart never saw are enqueued and cells it recovered are
-// no-ops. Returns the current sweep id. Concurrent callers serialize on
-// recMu; late ones observe the already-updated id and return immediately.
-func (r *RemoteExecutor) reresolve(ctx context.Context, lostID string) (string, error) {
+// recoverSweep is the executor's one restart-recovery path, taken by the
+// stream and by per-job submission alike when the coordinator no longer
+// serves lostID. It re-submits the sweep under the executor's stable
+// nonce — a coordinator with durable state answers with the surviving
+// sweep, a stateless one opens a fresh sweep — then idempotently re-posts
+// every known job, so cells the restart never saw are enqueued and cells it
+// recovered are no-ops. Returns the current sweep id. Concurrent callers
+// serialize on recMu; late ones observe the already-updated id and return
+// immediately. More than maxStreamRecoveries recoveries with no result
+// batch in between fail.
+func (r *RemoteExecutor) recoverSweep(ctx context.Context, lostID, cause string) (id string, err error) {
 	r.recMu.Lock()
 	defer r.recMu.Unlock()
 	r.mu.Lock()
@@ -365,6 +361,14 @@ func (r *RemoteExecutor) reresolve(ctx context.Context, lostID string) (string, 
 		jobs[i] = j
 	}
 	r.mu.Unlock()
+	defer func() {
+		if err != nil {
+			r.log().Warn("sweep recovery failed", "sweep", lostID, "cause", cause, "err", err.Error())
+		}
+	}()
+	if r.recoveries.Add(1) > maxStreamRecoveries {
+		return "", fmt.Errorf("gave up after %d recoveries without a result batch", maxStreamRecoveries)
+	}
 	if nonce == "" {
 		return "", fmt.Errorf("sweep %s has no submission nonce to recover by", lostID)
 	}
@@ -386,7 +390,7 @@ func (r *RemoteExecutor) reresolve(ctx context.Context, lostID string) (string, 
 	r.mu.Lock()
 	r.sweepID = resp.SweepID
 	r.mu.Unlock()
-	r.log().Info("sweep recovered after coordinator restart",
+	r.log().Info("sweep recovered after coordinator restart", "cause", cause,
 		"lost", lostID, "sweep", resp.SweepID, "jobs_resubmitted", len(jobs), "resumed", resp.SweepID == lostID)
 	return resp.SweepID, nil
 }
@@ -438,40 +442,35 @@ func (r *RemoteExecutor) ensure(ctx context.Context, index int, j sweep.Job) (st
 			return "", fmt.Errorf("grid: open sweep on %s: %w", r.URL, err)
 		}
 		r.sweepID = resp.SweepID
-		r.submitted = make(map[int]bool)
 		r.jobs = make(map[int]sweep.Job)
 		r.log().Info("sweep opened for incremental submission", "sweep", resp.SweepID, "coordinator", r.URL)
 	}
 	id := r.sweepID
-	claimed := r.submitted[index]
+	_, claimed := r.jobs[index]
 	if !claimed {
 		// Claim before posting: a concurrent Execute for the same index (not
 		// that Run produces one) would double-post, which the server treats
 		// as a no-op anyway.
-		r.submitted[index] = true
 		r.jobs[index] = j
 	}
 	r.mu.Unlock()
-	if !claimed {
-		// A 404 mid-loop means the coordinator restarted between opening
-		// the sweep and this submission: re-resolve by nonce and re-post to
-		// the current id. Bounded — each pass either succeeds, recovers, or
-		// returns the terminal error.
-		for pass := 0; ; pass++ {
-			status, err := r.call(ctx, http.MethodPost, "/v1/sweeps/"+id+"/jobs", JobRequest{Index: index, Job: j}, nil)
-			if err == nil && status == http.StatusNotFound && pass < maxStreamRecoveries {
-				newID, rerr := r.reresolve(ctx, id)
-				if rerr == nil {
-					id = newID
-					continue
-				}
-				err = fmt.Errorf("%w (recovery failed: %v)", statusErr(status), rerr)
-			}
-			if err = wantOK(status, err); err != nil {
-				return "", fmt.Errorf("grid: submit job %d to sweep %s: %w", index, id, err)
-			}
-			break
+	if claimed {
+		return id, nil
+	}
+	status, err := r.call(ctx, http.MethodPost, "/v1/sweeps/"+id+"/jobs", JobRequest{Index: index, Job: j}, nil)
+	if err == nil && status == http.StatusNotFound {
+		// The coordinator restarted between opening the sweep and this
+		// submission: recover the sweep and re-post to the id it has now (a
+		// recovery another goroutine ran may predate this claim).
+		newID, rerr := r.recoverSweep(ctx, id, "sweep id lost before job submission")
+		if rerr != nil {
+			return "", fmt.Errorf("grid: submit job %d to sweep %s: %w (recovery failed: %v)", index, id, statusErr(status), rerr)
 		}
+		id = newID
+		status, err = r.call(ctx, http.MethodPost, "/v1/sweeps/"+id+"/jobs", JobRequest{Index: index, Job: j}, nil)
+	}
+	if err = wantOK(status, err); err != nil {
+		return "", fmt.Errorf("grid: submit job %d to sweep %s: %w", index, id, err)
 	}
 	return id, nil
 }
@@ -484,10 +483,11 @@ func (r *RemoteExecutor) Close() error {
 	r.mu.Lock()
 	id := r.sweepID
 	cancel, end := r.streamCtx, r.streamEnd
-	r.sweepID, r.submitted = "", nil
+	r.sweepID = ""
 	r.nonce, r.jobs, r.received = "", nil, nil
 	r.waiters, r.arrived = nil, nil
 	r.streamCtx, r.streamEnd = nil, nil
+	r.recoveries.Store(0)
 	r.mu.Unlock()
 	if cancel != nil {
 		cancel()

@@ -378,7 +378,7 @@ func TestWorkerHealthGating(t *testing.T) {
 	}
 
 	// Register a healthy worker b, then push a over the penalty threshold
-	// (4 checksum failures at 1.0 each, UnhealthyAfter default 4).
+	// (4 checksum failures at 1.0 each, unhealthyAfter 4).
 	if _, ok := c.lease("b", "b"); ok {
 		t.Fatal("empty queue granted a lease")
 	}

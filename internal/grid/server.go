@@ -341,37 +341,27 @@ func (s *Server) CloseState() error {
 		s.mu.Unlock()
 		return nil
 	}
-	sweeps := make([]sweepSnapshot, 0, len(s.sweeps))
+	sweeps := make([]recoveredSweep, 0, len(s.sweeps))
 	for _, st := range s.sweeps {
+		rs := recoveredSweep{ID: st.id, Nonce: st.nonce, Tenant: st.tenant.Name,
+			Jobs: make(map[int]sweep.Job), Incidents: make(map[int][]taskIncident)}
 		st.mu.Lock()
-		ss := sweepSnapshot{ID: st.id, Nonce: st.nonce, Tenant: st.tenant.Name,
-			Log: append([]sweep.Result(nil), st.log...)}
+		rs.Log = append([]sweep.Result(nil), st.log...)
 		for idx, sl := range st.slots {
-			ss.Jobs = append(ss.Jobs, jobEntry{Index: idx, Job: sl.job})
+			rs.Jobs[idx] = sl.job
 			if sl.res == nil && sl.task != nil {
 				// Unfinished jobs carry their incident history forward, so a
 				// graceful restart cannot reset a poison job's quarantine
 				// progress.
-				for _, ti := range s.coord.incidentHistory(sl.task) {
-					ss.Incidents = append(ss.Incidents, incidentEntry{
-						Index: idx, Worker: ti.Worker, Kind: ti.Kind, Message: ti.Message})
-				}
+				rs.Incidents[idx] = s.coord.incidentHistory(sl.task)
 			}
 		}
 		st.mu.Unlock()
-		sort.Slice(ss.Jobs, func(i, j int) bool { return ss.Jobs[i].Index < ss.Jobs[j].Index })
-		sort.Slice(ss.Incidents, func(i, j int) bool {
-			a, b := ss.Incidents[i], ss.Incidents[j]
-			if a.Index != b.Index {
-				return a.Index < b.Index
-			}
-			return a.Worker < b.Worker
-		})
-		sweeps = append(sweeps, ss)
+		sweeps = append(sweeps, rs)
 	}
 	s.mu.Unlock()
 	sort.Slice(sweeps, func(i, j int) bool { return sweeps[i].ID < sweeps[j].ID })
-	return store.close(sweeps)
+	return store.close(compact(sweeps))
 }
 
 // journal appends one mutation when a state store is attached. Failures

@@ -94,89 +94,180 @@ func TestResultBatchCursor(t *testing.T) {
 }
 
 // TestStreamCoordinatorRestart: a RemoteExecutor whose coordinator restarts
-// mid-stream (losing all state) re-resolves its sweep by submission nonce,
-// re-submits the jobs the restarted process never saw, and completes every
-// in-flight Execute — and because restarted coordinators assign fresh random
-// sweep ids, it never silently adopts a sweep some other client opened after
-// the restart.
+// (losing all state) re-resolves its sweep by submission nonce, re-submits
+// the jobs the restarted process never saw, and completes every in-flight
+// Execute — and because restarted coordinators assign fresh random sweep
+// ids, it never silently adopts a sweep some other client opened after the
+// restart. The restart lands either mid-stream after a whole-matrix Submit,
+// or, with incremental submission, between the sweep's open and its first
+// per-job POST.
 func TestStreamCoordinatorRestart(t *testing.T) {
-	var handler atomic.Value // http.Handler
-	before := NewServer(ServerOptions{})
-	handler.Store(before.Handler())
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		handler.Load().(http.Handler).ServeHTTP(w, req)
-	}))
-	defer srv.Close()
-
-	jobs := smallJobs(t, "exchange2")[:2]
-	re := &RemoteExecutor{URL: srv.URL, PollWait: 50 * time.Millisecond}
-	if err := re.Submit(context.Background(), jobs); err != nil {
-		t.Fatal(err)
-	}
-	re.mu.Lock()
-	oldID := re.sweepID
-	re.mu.Unlock()
-
-	type outcome struct {
-		res *core.Results
-		err error
-	}
-	outc := make(chan outcome, len(jobs))
-	for i, j := range jobs {
-		go func() {
-			res, err := re.Execute(context.Background(), i, j)
-			outc <- outcome{res, err}
-		}()
-	}
-	// Wait until the stream is live (a waiter is parked), then "restart" the
-	// coordinator: fresh process, empty state, new random ids.
-	for {
-		re.mu.Lock()
-		live := re.streamCtx != nil
-		re.mu.Unlock()
-		if live {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	after := NewServer(ServerOptions{})
-	handler.Store(after.Handler())
-	// Another client opens a sweep on the restarted coordinator; the old id
-	// must not resolve to it, and recovery must not adopt it.
-	var foreign SubmitResponse
-	if _, err := doJSON(context.Background(), srv.Client(), http.MethodPost,
-		srv.URL+"/v1/sweeps", "", SubmitRequest{Jobs: jobs}, &foreign); err != nil {
-		t.Fatal(err)
-	}
-	if foreign.SweepID == oldID {
-		t.Fatalf("restarted coordinator reissued sweep id %s", oldID)
-	}
-
-	stop := startWorkers(t, srv.URL, 1)
-	defer stop()
-	for range jobs {
-		select {
-		case out := <-outc:
-			if out.err != nil {
-				t.Errorf("Execute through restart: %v", out.err)
-			} else if out.res == nil || out.res.Committed == 0 {
-				t.Errorf("Execute through restart returned empty result %+v", out.res)
+	for _, incremental := range []bool{false, true} {
+		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
+			var handler atomic.Value // http.Handler
+			handler.Store(NewServer(ServerOptions{}).Handler())
+			var (
+				mu      sync.Mutex // guards oldID and foreign, set on a handler goroutine
+				oldID   string
+				foreign SubmitResponse
+			)
+			var restarted atomic.Bool
+			jobs := smallJobs(t, "exchange2")[:2]
+			// restart swaps in a fresh coordinator process (empty state, new
+			// random ids) and has another client open a sweep on it; the old
+			// id must not resolve to that sweep, and recovery must not adopt it.
+			restart := func(base, lostID string) {
+				handler.Store(NewServer(ServerOptions{}).Handler())
+				var resp SubmitResponse
+				if _, err := doJSON(context.Background(), http.DefaultClient, http.MethodPost,
+					base+"/v1/sweeps", "", SubmitRequest{Jobs: jobs}, &resp); err != nil {
+					t.Error(err)
+				}
+				mu.Lock()
+				oldID, foreign = lostID, resp
+				mu.Unlock()
 			}
-		case <-time.After(30 * time.Second):
-			t.Fatal("Execute hung through the coordinator restart")
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+				if incremental && req.Method == http.MethodPost && strings.HasSuffix(req.URL.Path, "/jobs") &&
+					restarted.CompareAndSwap(false, true) {
+					restart("http://"+req.Host, strings.TrimSuffix(strings.TrimPrefix(req.URL.Path, "/v1/sweeps/"), "/jobs"))
+				}
+				handler.Load().(http.Handler).ServeHTTP(w, req)
+			}))
+			defer srv.Close()
+
+			re := &RemoteExecutor{URL: srv.URL, PollWait: 50 * time.Millisecond}
+			if incremental {
+				// No job ever reaches the first process, so workers may poll
+				// from the start.
+				stop := startWorkers(t, srv.URL, 1)
+				defer stop()
+			} else if err := re.Submit(context.Background(), jobs); err != nil {
+				t.Fatal(err)
+			}
+
+			type outcome struct {
+				res *core.Results
+				err error
+			}
+			outc := make(chan outcome, len(jobs))
+			for i, j := range jobs {
+				go func() {
+					res, err := re.Execute(context.Background(), i, j)
+					outc <- outcome{res, err}
+				}()
+			}
+			if !incremental {
+				// Wait until the stream is live (a waiter is parked), then
+				// restart the coordinator under it.
+				for {
+					re.mu.Lock()
+					live, id := re.streamCtx != nil, re.sweepID
+					re.mu.Unlock()
+					if live {
+						restart(srv.URL, id)
+						break
+					}
+					time.Sleep(time.Millisecond)
+				}
+				stop := startWorkers(t, srv.URL, 1)
+				defer stop()
+			}
+			for range jobs {
+				select {
+				case out := <-outc:
+					if out.err != nil {
+						t.Errorf("Execute through restart: %v", out.err)
+					} else if out.res == nil || out.res.Committed == 0 {
+						t.Errorf("Execute through restart returned empty result %+v", out.res)
+					}
+				case <-time.After(30 * time.Second):
+					t.Fatal("Execute hung through the coordinator restart")
+				}
+			}
+			re.mu.Lock()
+			newID := re.sweepID
+			re.mu.Unlock()
+			mu.Lock()
+			defer mu.Unlock()
+			if oldID == "" {
+				t.Fatal("the coordinator never restarted")
+			}
+			if foreign.SweepID == oldID {
+				t.Fatalf("restarted coordinator reissued sweep id %s", oldID)
+			}
+			if newID == oldID {
+				t.Errorf("executor kept dead sweep id %s through the restart", oldID)
+			}
+			if newID == foreign.SweepID {
+				t.Errorf("recovery adopted the foreign sweep %s", foreign.SweepID)
+			}
+			if err := re.Close(); err != nil {
+				t.Errorf("close after restart: %v", err)
+			}
+		})
+	}
+}
+
+// TestStreamRecoveryBounded: a coordinator that keeps losing the sweep makes
+// Execute fail within the one recovery bound instead of hanging. When every
+// sweep URL answers 404, the first recovery's job re-post fails; when only
+// the result stream does, re-resolution succeeds every time and the bound
+// of maxStreamRecoveries ends it. Both for a Submitted matrix and for
+// incremental submission.
+func TestStreamRecoveryBounded(t *testing.T) {
+	for _, incremental := range []bool{false, true} {
+		for _, resultsOnly := range []bool{false, true} {
+			t.Run(fmt.Sprintf("incremental=%v/resultsOnly=%v", incremental, resultsOnly), func(t *testing.T) {
+				inner := NewServer(ServerOptions{}).Handler()
+				var opens atomic.Int32
+				srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+					lost := strings.HasPrefix(req.URL.Path, "/v1/sweeps/")
+					if resultsOnly {
+						lost = strings.HasSuffix(req.URL.Path, "/results")
+					}
+					if lost {
+						http.Error(w, "unknown sweep", http.StatusNotFound)
+						return
+					}
+					if req.Method == http.MethodPost && req.URL.Path == "/v1/sweeps" {
+						opens.Add(1)
+					}
+					inner.ServeHTTP(w, req)
+				}))
+				defer srv.Close()
+
+				jobs := smallJobs(t, "exchange2")[:1]
+				re := &RemoteExecutor{URL: srv.URL, PollWait: 50 * time.Millisecond}
+				defer re.Close()
+				if !incremental {
+					if err := re.Submit(context.Background(), jobs); err != nil {
+						t.Fatal(err)
+					}
+				}
+				done := make(chan error, 1)
+				go func() {
+					_, err := re.Execute(context.Background(), 0, jobs[0])
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					if err == nil {
+						t.Fatal("Execute succeeded against a coordinator that lost the sweep")
+					}
+				case <-time.After(30 * time.Second):
+					t.Fatal("Execute hung against a coordinator that keeps losing the sweep")
+				}
+				// One open, then one nonce re-resolution per recovery.
+				want := int32(2)
+				if resultsOnly {
+					want = 1 + maxStreamRecoveries
+				}
+				if got := opens.Load(); got != want {
+					t.Errorf("coordinator saw %d sweep opens, want %d", got, want)
+				}
+			})
 		}
-	}
-	re.mu.Lock()
-	newID := re.sweepID
-	re.mu.Unlock()
-	if newID == oldID {
-		t.Errorf("executor kept dead sweep id %s through the restart", oldID)
-	}
-	if newID == foreign.SweepID {
-		t.Errorf("recovery adopted the foreign sweep %s", foreign.SweepID)
-	}
-	if err := re.Close(); err != nil {
-		t.Errorf("close after restart: %v", err)
 	}
 }
 
