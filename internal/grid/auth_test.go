@@ -199,15 +199,10 @@ func TestSweepOwnership(t *testing.T) {
 	foreign := []struct{ method, path string }{
 		{http.MethodGet, "/v1/sweeps/" + resp.SweepID},
 		{http.MethodGet, "/v1/sweeps/" + resp.SweepID + "/results"},
-		{http.MethodPost, "/v1/sweeps/" + resp.SweepID + "/jobs"},
 		{http.MethodDelete, "/v1/sweeps/" + resp.SweepID},
 	}
 	for _, ep := range foreign {
-		var body any
-		if ep.method == http.MethodPost {
-			body = JobRequest{Index: 9, Job: smallJobs(t, "exchange2")[0]}
-		}
-		status, err := doJSON(ctx, srv.Client(), ep.method, srv.URL+ep.path, "tb", body, nil)
+		status, err := doJSON(ctx, srv.Client(), ep.method, srv.URL+ep.path, "tb", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

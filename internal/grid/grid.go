@@ -24,7 +24,6 @@
 //	POST   /v1/heartbeat         HeartbeatRequest -> 200
 //	GET    /v1/stats                           -> 200 ServerSnapshot
 //	POST   /v1/sweeps            SubmitRequest -> 200 SubmitResponse
-//	POST   /v1/sweeps/{id}/jobs  JobRequest    -> 200 (idempotent per index)
 //	GET    /v1/sweeps/{id}                     -> 200 SweepStatus
 //	GET    /v1/sweeps/{id}/results?after=N&wait=30s -> 200 ResultBatch
 //	DELETE /v1/sweeps/{id}                     -> 200 (sweep state released)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"safespec/internal/core"
+	"safespec/internal/resultcache"
 	"safespec/internal/sweep"
 )
 
@@ -69,6 +71,60 @@ func doJSON(ctx context.Context, hc *http.Client, method, url, token string, in,
 	return status, err
 }
 
+// routeCounter is an http.RoundTripper that counts requests per route, with
+// the sweep id elided ("GET /v1/sweeps/{id}/results").
+type routeCounter struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (c *routeCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	route := req.URL.Path
+	if rest, ok := strings.CutPrefix(route, "/v1/sweeps/"); ok {
+		route = "/v1/sweeps/{id}"
+		if _, sub, ok := strings.Cut(rest, "/"); ok {
+			route += "/" + sub
+		}
+	}
+	c.mu.Lock()
+	if c.n == nil {
+		c.n = make(map[string]int)
+	}
+	c.n[req.Method+" "+route]++
+	c.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+func (c *routeCounter) snapshot() map[string]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return maps.Clone(c.n)
+}
+
+// halfWarmCache opens a result cache holding the results of the jobs at
+// even indexes, so a sweep through it sends only the odd ones to the grid.
+func halfWarmCache(t testing.TB, jobs []sweep.Job) *resultcache.Cache {
+	t.Helper()
+	cache, err := resultcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(jobs); i += 2 {
+		key, err := jobs[i].Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sweep.LocalExecutor{}.Execute(context.Background(), i, jobs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cache.Put(key, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cache
+}
+
 // startGrid serves a fresh Server on a loopback listener and returns it
 // with a RemoteExecutor pointed at it; both are torn down with the test.
 func startGrid(t testing.TB, opts ServerOptions) (*Server, *httptest.Server, *RemoteExecutor) {
@@ -117,6 +173,12 @@ func TestGridEndToEnd(t *testing.T) {
 	if localAgg.Jobs != remoteAgg.Jobs || localAgg.Errored != remoteAgg.Errored ||
 		localAgg.Committed != remoteAgg.Committed || localAgg.Cycles != remoteAgg.Cycles {
 		t.Errorf("aggregate accounting differs: local %+v vs remote %+v", localAgg, remoteAgg)
+	}
+	// Busy time is the workers' cache, simulate and report spans, not the
+	// wall time Execute spent waiting on the coordinator queue.
+	sp := remoteAgg.Spans
+	if remoteAgg.Timed != len(jobs) || remoteAgg.Busy != time.Duration(sp.CacheNS+sp.SimulateNS+sp.ReportNS) {
+		t.Errorf("remote busy %v over %d/%d timed jobs, want the span sum (%s)", remoteAgg.Busy, remoteAgg.Timed, len(jobs), sp)
 	}
 	s := server.Stats()
 	if s.Completed != uint64(len(jobs)) || s.Pending != 0 || s.Leased != 0 {
@@ -289,9 +351,13 @@ func TestLeaseExhaustionFailsJob(t *testing.T) {
 func TestExecuteCancellation(t *testing.T) {
 	server, srv, re := startGrid(t, ServerOptions{})
 	ctx, cancel := context.WithCancel(context.Background())
+	job := sweep.Job{Bench: "exchange2", Mode: "baseline", Config: core.Baseline()}
+	if err := re.Submit(ctx, []sweep.Job{job}); err != nil {
+		t.Fatal(err)
+	}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := re.Execute(ctx, 0, sweep.Job{Bench: "exchange2", Mode: "baseline", Config: core.Baseline()})
+		_, err := re.Execute(ctx, 0, job)
 		errc <- err
 	}()
 	lease := leaseOne(t, srv.URL)

@@ -11,7 +11,6 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,11 +23,10 @@ import (
 // RemoteExecutor runs a sweep on a persistent external coordinator
 // (cmd/safespec-coordinator, or the in-process `safespec-bench -serve`
 // degenerate case). It implements sweep.Executor — sinks, in-order
-// delivery and byte-identical output are untouched — plus the
-// sweep.Submitter extension: when sweep.Run announces the job matrix, the
-// whole sweep is enqueued in one POST /v1/sweeps. When the matrix is not
-// announced (e.g. a result cache wraps this executor and only misses reach
-// the grid), Execute submits jobs one at a time to a lazily-opened sweep.
+// delivery and byte-identical output are untouched — plus the required
+// sweep.Submitter extension: Submit enqueues the whole announced matrix in
+// one POST /v1/sweeps (a wrapping result cache announces only its misses),
+// and Execute serves only indexes that announcement carried.
 //
 // Results arrive as a stream of batches: one background goroutine per
 // sweep long-polls GET /v1/sweeps/{id}/results?after=N&wait=D, and each
@@ -57,7 +55,7 @@ type RemoteExecutor struct {
 	mu        sync.Mutex
 	sweepID   string
 	nonce     string                    // stable submission nonce: the recovery key across coordinator restarts
-	jobs      map[int]sweep.Job         // every claimed index, for re-submission after a restart
+	jobs      []sweep.Job               // the announced matrix, re-submitted after a restart
 	received  map[int]bool              // indexes already dispatched (dedupes re-streamed results)
 	waiters   map[int]chan sweep.Result // Execute calls parked on an index
 	arrived   map[int]sweep.Result      // streamed results nobody asked for yet
@@ -157,11 +155,7 @@ func (r *RemoteExecutor) Submit(ctx context.Context, jobs []sweep.Job) error {
 		return fmt.Errorf("grid: submit sweep to %s: %w", r.URL, err)
 	}
 	r.mu.Lock()
-	r.sweepID = resp.SweepID
-	r.jobs = make(map[int]sweep.Job, len(jobs))
-	for i, j := range jobs {
-		r.jobs[i] = j
-	}
+	r.sweepID, r.jobs = resp.SweepID, jobs
 	r.mu.Unlock()
 	r.log().Info("sweep submitted", "sweep", resp.SweepID, "coordinator", r.URL, "jobs", len(jobs))
 	return nil
@@ -179,18 +173,18 @@ func (r *RemoteExecutor) nonceLocked() string {
 	return r.nonce
 }
 
-// openSweep POSTs a sweep-creation request carrying jobs (nil opens an
-// empty sweep for incremental submission). The nonce makes the retried
-// POST idempotent: if an attempt landed but its response was lost, the
-// coordinator hands back the existing sweep instead of double-running it.
+// openSweep POSTs a sweep-creation request carrying jobs. The nonce makes
+// the retried POST idempotent: if an attempt landed but its response was
+// lost, the coordinator hands back the existing sweep instead of
+// double-running it.
 func (r *RemoteExecutor) openSweep(ctx context.Context, jobs []sweep.Job, nonce string) (SubmitResponse, error) {
 	var resp SubmitResponse
 	err := wantOK(r.call(ctx, http.MethodPost, "/v1/sweeps", SubmitRequest{Jobs: jobs, Nonce: nonce}, &resp))
 	return resp, err
 }
 
-// Execute submits the job if the matrix announcement did not already cover
-// it, then waits for the shared result stream to deliver its index.
+// Execute waits for the shared result stream to deliver the index. An index
+// that Submit did not announce fails at once, without a request.
 func (r *RemoteExecutor) Execute(ctx context.Context, index int, j sweep.Job) (*core.Results, error) {
 	res, _, err := r.ExecuteTimed(ctx, index, j)
 	return res, err
@@ -201,12 +195,12 @@ func (r *RemoteExecutor) Execute(ctx context.Context, index int, j sweep.Job) (*
 // worker's executor is not a sweep.TimedExecutor), so sweep.Run records
 // Timing for remote sweeps.
 func (r *RemoteExecutor) ExecuteTimed(ctx context.Context, index int, j sweep.Job) (*core.Results, *sweep.Timing, error) {
-	id, err := r.ensure(ctx, index, j)
-	if err != nil {
-		return nil, nil, err
-	}
-
 	r.mu.Lock()
+	id := r.sweepID
+	if id == "" || index < 0 || index >= len(r.jobs) {
+		r.mu.Unlock()
+		return nil, nil, fmt.Errorf("grid: job %d was not announced by Submit", index)
+	}
 	if res, ok := r.arrived[index]; ok {
 		delete(r.arrived, index)
 		r.mu.Unlock()
@@ -337,15 +331,14 @@ func (r *RemoteExecutor) stream(ctx context.Context, id string, end chan struct{
 }
 
 // recoverSweep is the executor's one restart-recovery path, taken by the
-// stream and by per-job submission alike when the coordinator no longer
-// serves lostID. It re-submits the sweep under the executor's stable
-// nonce — a coordinator with durable state answers with the surviving
-// sweep, a stateless one opens a fresh sweep — then idempotently re-posts
-// every known job, so cells the restart never saw are enqueued and cells it
-// recovered are no-ops. Returns the current sweep id. Concurrent callers
-// serialize on recMu; late ones observe the already-updated id and return
-// immediately. More than maxStreamRecoveries recoveries with no result
-// batch in between fail.
+// stream when the coordinator no longer serves lostID. It re-posts the
+// announced matrix under the executor's stable nonce in one POST
+// /v1/sweeps: a coordinator with durable state answers with the surviving
+// sweep (enqueueing any index its journal lost), a stateless one opens a
+// fresh sweep with every job. Returns the current sweep id. Concurrent
+// callers serialize on recMu; late ones observe the already-updated id and
+// return immediately. More than maxStreamRecoveries recoveries with no
+// result batch in between fail.
 func (r *RemoteExecutor) recoverSweep(ctx context.Context, lostID, cause string) (id string, err error) {
 	r.recMu.Lock()
 	defer r.recMu.Unlock()
@@ -355,11 +348,7 @@ func (r *RemoteExecutor) recoverSweep(ctx context.Context, lostID, cause string)
 		r.mu.Unlock()
 		return id, nil
 	}
-	nonce := r.nonce
-	jobs := make(map[int]sweep.Job, len(r.jobs))
-	for i, j := range r.jobs {
-		jobs[i] = j
-	}
+	nonce, jobs := r.nonce, r.jobs
 	r.mu.Unlock()
 	defer func() {
 		if err != nil {
@@ -372,20 +361,9 @@ func (r *RemoteExecutor) recoverSweep(ctx context.Context, lostID, cause string)
 	if nonce == "" {
 		return "", fmt.Errorf("sweep %s has no submission nonce to recover by", lostID)
 	}
-	var resp SubmitResponse
-	if err := wantOK(r.call(ctx, http.MethodPost, "/v1/sweeps", SubmitRequest{Nonce: nonce}, &resp)); err != nil {
-		return "", fmt.Errorf("re-resolve by nonce: %w", err)
-	}
-	indexes := make([]int, 0, len(jobs))
-	for i := range jobs {
-		indexes = append(indexes, i)
-	}
-	sort.Ints(indexes)
-	for _, i := range indexes {
-		if err := wantOK(r.call(ctx, http.MethodPost, "/v1/sweeps/"+resp.SweepID+"/jobs",
-			JobRequest{Index: i, Job: jobs[i]}, nil)); err != nil {
-			return "", fmt.Errorf("re-submit job %d: %w", i, err)
-		}
+	resp, err := r.openSweep(ctx, jobs, nonce)
+	if err != nil {
+		return "", fmt.Errorf("re-submit by nonce: %w", err)
 	}
 	r.mu.Lock()
 	r.sweepID = resp.SweepID
@@ -428,57 +406,10 @@ func (r *RemoteExecutor) dispatch(res sweep.Result) {
 	r.arrived[res.Index] = res
 }
 
-// ensure opens the sweep on first use and submits this job if the matrix
-// announcement did not already carry it. Only sweep creation runs under the
-// mutex (one request per sweep); per-job submissions claim their index
-// first and post outside the lock, so concurrent cache misses submit in
-// parallel instead of serializing behind one another's round trips.
-func (r *RemoteExecutor) ensure(ctx context.Context, index int, j sweep.Job) (string, error) {
-	r.mu.Lock()
-	if r.sweepID == "" {
-		resp, err := r.openSweep(ctx, nil, r.nonceLocked())
-		if err != nil {
-			r.mu.Unlock()
-			return "", fmt.Errorf("grid: open sweep on %s: %w", r.URL, err)
-		}
-		r.sweepID = resp.SweepID
-		r.jobs = make(map[int]sweep.Job)
-		r.log().Info("sweep opened for incremental submission", "sweep", resp.SweepID, "coordinator", r.URL)
-	}
-	id := r.sweepID
-	_, claimed := r.jobs[index]
-	if !claimed {
-		// Claim before posting: a concurrent Execute for the same index (not
-		// that Run produces one) would double-post, which the server treats
-		// as a no-op anyway.
-		r.jobs[index] = j
-	}
-	r.mu.Unlock()
-	if claimed {
-		return id, nil
-	}
-	status, err := r.call(ctx, http.MethodPost, "/v1/sweeps/"+id+"/jobs", JobRequest{Index: index, Job: j}, nil)
-	if err == nil && status == http.StatusNotFound {
-		// The coordinator restarted between opening the sweep and this
-		// submission: recover the sweep and re-post to the id it has now (a
-		// recovery another goroutine ran may predate this claim).
-		newID, rerr := r.recoverSweep(ctx, id, "sweep id lost before job submission")
-		if rerr != nil {
-			return "", fmt.Errorf("grid: submit job %d to sweep %s: %w (recovery failed: %v)", index, id, statusErr(status), rerr)
-		}
-		id = newID
-		status, err = r.call(ctx, http.MethodPost, "/v1/sweeps/"+id+"/jobs", JobRequest{Index: index, Job: j}, nil)
-	}
-	if err = wantOK(status, err); err != nil {
-		return "", fmt.Errorf("grid: submit job %d to sweep %s: %w", index, id, err)
-	}
-	return id, nil
-}
-
 // Close stops the result stream and releases the sweep's state on the
 // coordinator (idempotent; a sweep the server already dropped counts as
-// released). The executor can be reused afterwards: the next Submit or
-// Execute opens a fresh sweep with a fresh stream.
+// released). The executor can be reused afterwards: the next Submit opens
+// a fresh sweep with a fresh stream.
 func (r *RemoteExecutor) Close() error {
 	r.mu.Lock()
 	id := r.sweepID

@@ -25,8 +25,8 @@ import (
 // retry after backoff) and 403 (over the tenant's sweep quota; release a
 // sweep first).
 //
-// A sweep is created by POST /v1/sweeps (optionally carrying the whole job
-// matrix), grown by POST /v1/sweeps/{id}/jobs, and released by DELETE.
+// A sweep is created by POST /v1/sweeps carrying its whole job matrix, and
+// released by DELETE.
 // Results are delivered as batches: GET /v1/sweeps/{id}/results?after=N
 // long-polls the completion log and returns every result that finished
 // since cursor N, so a client needs one in-flight request per sweep, not
@@ -116,17 +116,17 @@ type TenantSnapshot struct {
 	QuotaRejected uint64 `json:"quota_rejected"`
 }
 
-// SubmitRequest opens a sweep, optionally enqueueing its whole job matrix
-// (element position = job index). An empty Jobs slice opens a sweep for
-// incremental submission via POST /v1/sweeps/{id}/jobs — the path taken
-// when a client-side result cache filters the matrix down to its misses.
+// SubmitRequest opens a sweep and enqueues its whole job matrix (element
+// position = job index). A client-side result cache sends only its misses,
+// renumbered densely. An empty Jobs slice opens an empty sweep.
 type SubmitRequest struct {
 	Jobs []sweep.Job `json:"jobs,omitempty"`
 	// Nonce deduplicates retried submissions: POST /v1/sweeps is otherwise
 	// not idempotent, and a client whose 200 was lost in transit would
 	// open a duplicate sweep whose jobs the fleet executes for nothing. A
 	// coordinator that already holds a sweep for this nonce returns it
-	// instead of creating another.
+	// instead of creating another, enqueueing any of Jobs it lacks (a
+	// matrix whose journaling a crash cut short).
 	Nonce string `json:"nonce,omitempty"`
 }
 
@@ -136,22 +136,12 @@ type SubmitResponse struct {
 	Jobs    int    `json:"jobs"`
 }
 
-// JobRequest adds one job to an open sweep. Resubmitting an index is a
-// no-op (the simulation is deterministic, so a retried submission carries
-// the same job).
-type JobRequest struct {
-	Index int       `json:"index"`
-	Job   sweep.Job `json:"job"`
-}
-
 // SweepStatus is the GET /v1/sweeps/{id} response.
 type SweepStatus struct {
 	SweepID   string `json:"sweep_id"`
 	Submitted int    `json:"submitted"`
 	Completed int    `json:"completed"`
-	// Done reports all submitted jobs completed; with incremental
-	// submission it can flicker true between batches, so it is meaningful
-	// only once the client has submitted its whole matrix.
+	// Done reports all submitted jobs completed.
 	Done bool `json:"done"`
 }
 
@@ -428,7 +418,6 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, s.Stats())
 	})
 	mux.HandleFunc("POST /v1/sweeps", s.handleSubmit)
-	mux.HandleFunc("POST /v1/sweeps/{id}/jobs", s.handleJob)
 	mux.HandleFunc("GET /v1/sweeps/{id}", s.handlePoll)
 	mux.HandleFunc("GET /v1/sweeps/{id}/results", s.handleResults)
 	mux.HandleFunc("DELETE /v1/sweeps/{id}", s.handleClose)
@@ -456,7 +445,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 				// A retried submission whose first attempt did land: hand
 				// back the existing sweep instead of double-running it.
 				// (No quota check: it is the same sweep, already counted.)
+				// Jobs it lacks are enqueued: a crash can cut a matrix's
+				// journaling short, and restart recovery re-posts the matrix.
 				prev.mu.Lock()
+				for i, j := range sr.Jobs {
+					if _, ok := prev.slots[i]; !ok {
+						s.journalJobLocked(prev, i, j)
+					}
+				}
 				resp := SubmitResponse{SweepID: prev.id, Jobs: len(prev.slots)}
 				prev.lastSeen = s.opts.now()
 				prev.mu.Unlock()
@@ -491,9 +487,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		lastSeen: now,
 	}
 	s.journal(journalRecord{Op: opOpen, Sweep: st.id, Nonce: sr.Nonce, Tenant: tenant.Name})
+	st.mu.Lock()
 	for i, j := range sr.Jobs {
-		s.addJob(st, i, j)
+		s.journalJobLocked(st, i, j)
 	}
+	st.mu.Unlock()
 	s.submitted++
 	tenant.activeSweeps++
 	s.sweeps[st.id] = st
@@ -503,30 +501,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	s.mu.Unlock()
 	s.opts.Log.Info("sweep opened", "sweep", st.id, "tenant", tenant.Name, "jobs", len(sr.Jobs))
 	writeJSON(w, SubmitResponse{SweepID: st.id, Jobs: len(sr.Jobs)})
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, req *http.Request) {
-	st := s.lookup(req.PathValue("id"), requestTenant(req))
-	if st == nil {
-		http.Error(w, "unknown sweep", http.StatusNotFound)
-		return
-	}
-	var jr JobRequest
-	if !decodeJSON(w, req, &jr) {
-		return
-	}
-	if jr.Index < 0 {
-		http.Error(w, "negative job index", http.StatusBadRequest)
-		return
-	}
-	if !s.addJob(st, jr.Index, jr.Job) {
-		// The sweep was closed or abandoned between lookup and enqueue; a
-		// 200 here would leave the client long-polling a job that will
-		// never run.
-		http.Error(w, "unknown sweep", http.StatusNotFound)
-		return
-	}
-	w.WriteHeader(http.StatusOK)
 }
 
 func (s *Server) handlePoll(w http.ResponseWriter, req *http.Request) {
@@ -679,22 +653,11 @@ func (s *Server) lookup(id string, tenant *tenantState) *sweepState {
 	return st
 }
 
-// addJob enqueues one job of a sweep onto the shared coordinator queue,
-// wiring its terminal outcome back into the sweep's slot and completion
-// log. It reports false when the sweep has been closed or abandoned in the
-// meantime — the caller must not tell the client the job was accepted.
-func (s *Server) addJob(st *sweepState, index int, job sweep.Job) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
-		return false
-	}
-	if _, dup := st.slots[index]; dup {
-		return true // idempotent resubmission
-	}
+// journalJobLocked journals one job of a sweep and enqueues it. Caller
+// holds st.mu.
+func (s *Server) journalJobLocked(st *sweepState, index int, job sweep.Job) {
 	s.journal(journalRecord{Op: opJob, Sweep: st.id, Index: index, Job: &job})
 	s.enqueueSlotLocked(st, index, job)
-	return true
 }
 
 // enqueueSlotLocked creates the slot for one job and queues it on the

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,6 +16,7 @@ import (
 
 	"safespec/internal/core"
 	"safespec/internal/pipeline"
+	"safespec/internal/resultcache"
 	"safespec/internal/sweep"
 )
 
@@ -48,18 +50,27 @@ func startTokenWorkers(t testing.TB, url, token string, n int) (stop func()) {
 
 // TestServerSequentialSweeps is the tentpole acceptance property: one
 // persistent Server and one worker fleet serve several sequential sweeps —
-// including one submitted lazily, as a cache-wrapped executor would — each
-// byte-identical to a local run, and the server returns to steady-state
-// memory (no sweeps, no expired leases) after the clients close.
+// including ones behind a client-side result cache, which announces only
+// its misses — each byte-identical to a local run, and the server returns
+// to steady-state memory (no sweeps, no expired leases) after the clients
+// close.
 func TestServerSequentialSweeps(t *testing.T) {
 	const token = "fleet-secret"
-	jobs := smallJobs(t)
+	spec := sweep.Quick()
+	spec.Benchmarks = []string{"exchange2", "mcf"}
+	spec.Instructions = 2_000
+	spec.Seeds = []int64{1, 2}
+	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var local bytes.Buffer
 	if _, err := sweep.Run(context.Background(), jobs,
 		sweep.Options{Sinks: []sweep.Sink{sweep.NewJSONL(&local)}}); err != nil {
 		t.Fatal(err)
 	}
+	cache := halfWarmCache(t, jobs)
 
 	server := NewServer(ServerOptions{Token: token})
 	srv := httptest.NewServer(server.Handler())
@@ -67,13 +78,15 @@ func TestServerSequentialSweeps(t *testing.T) {
 	stop := startTokenWorkers(t, srv.URL, token, 2)
 	defer stop()
 
-	for round := 0; round < 3; round++ {
-		re := &RemoteExecutor{URL: srv.URL, Token: token, PollWait: 200 * time.Millisecond}
+	// Rounds 0 and 1 run bare; round 2 runs behind the half-warm cache and
+	// round 3 behind the then fully warm one.
+	for round := 0; round < 4; round++ {
+		counts := &routeCounter{}
+		re := &RemoteExecutor{URL: srv.URL, Token: token, PollWait: 200 * time.Millisecond,
+			Client: &http.Client{Transport: counts}}
 		var exec sweep.Executor = re
-		if round == 2 {
-			// Hide the Submitter extension, as a wrapping result cache does:
-			// every job must flow through the lazy per-job submission path.
-			exec = struct{ sweep.Executor }{re}
+		if round >= 2 {
+			exec = resultcache.NewExecutor(cache, re)
 		}
 		var remote bytes.Buffer
 		if _, err := sweep.Run(context.Background(), jobs, sweep.Options{
@@ -89,17 +102,35 @@ func TestServerSequentialSweeps(t *testing.T) {
 		if err := re.Close(); err != nil {
 			t.Errorf("round %d close: %v", round, err)
 		}
+		switch sent := counts.snapshot(); round {
+		case 2:
+			// The misses travel in the one submission, results stream in
+			// batches, and one DELETE releases the sweep: nothing else.
+			polls := sent["GET /v1/sweeps/{id}/results"]
+			want := map[string]int{"POST /v1/sweeps": 1, "GET /v1/sweeps/{id}/results": polls, "DELETE /v1/sweeps/{id}": 1}
+			if polls == 0 || !maps.Equal(sent, want) {
+				t.Errorf("half-warm cache round sent %v, want one submission, result polls and one release", sent)
+			}
+			t.Logf("half-warm cache round (%d cells, %d misses): requests %v", len(jobs), len(jobs)/2, sent)
+		case 3:
+			if len(sent) != 0 {
+				t.Errorf("all-hit cache round sent coordinator requests %v, want none", sent)
+			}
+		}
 	}
 
 	s := server.Stats()
 	if s.Sweeps != 0 || s.Pending != 0 || s.Leased != 0 || s.Expired != 0 {
 		t.Errorf("server holds state after closed sweeps: %+v", s)
 	}
-	if want := uint64(3 * len(jobs)); s.Completed != want {
+	if want := uint64(2*len(jobs) + len(jobs)/2); s.Completed != want {
 		t.Errorf("completed %d jobs, want %d", s.Completed, want)
 	}
 	if s.SweepsSubmitted != 3 {
 		t.Errorf("sweeps submitted %d, want 3", s.SweepsSubmitted)
+	}
+	if cs := cache.Stats(); cs.Misses != uint64(len(jobs)/2) || cs.Puts != uint64(len(jobs)) || cs.Errors != 0 {
+		t.Errorf("cache counters %+v, want %d misses and %d puts", cs, len(jobs)/2, len(jobs))
 	}
 }
 
@@ -121,7 +152,6 @@ func TestServerAuth(t *testing.T) {
 		{http.MethodPost, "/v1/result", ResultRequest{LeaseID: "x", Result: sweep.Result{Err: errors.New("e")}}},
 		{http.MethodGet, "/v1/stats", nil},
 		{http.MethodPost, "/v1/sweeps", SubmitRequest{}},
-		{http.MethodPost, "/v1/sweeps/s-1/jobs", JobRequest{}},
 		{http.MethodGet, "/v1/sweeps/s-1", nil},
 		{http.MethodDelete, "/v1/sweeps/s-1", nil},
 	}
@@ -437,20 +467,6 @@ func TestSubmitRetriesServerErrors(t *testing.T) {
 	}
 }
 
-// TestAddJobClosedSweep: a job racing a sweep's abandonment must be
-// refused, not silently dropped while the handler reports acceptance.
-func TestAddJobClosedSweep(t *testing.T) {
-	s := NewServer(ServerOptions{})
-	st := &sweepState{id: "s-x", slots: map[int]*slot{}}
-	st.closed = true
-	if s.addJob(st, 0, sweep.Job{Bench: "exchange2", Mode: "baseline"}) {
-		t.Fatal("closed sweep accepted a job")
-	}
-	if n := s.coord.Stats().Pending; n != 0 {
-		t.Fatalf("dropped job still queued: %d pending", n)
-	}
-}
-
 // TestSubmitNonceIdempotent: re-posting a submission whose response was
 // lost must return the existing sweep instead of double-running the matrix.
 func TestSubmitNonceIdempotent(t *testing.T) {
@@ -472,6 +488,19 @@ func TestSubmitNonceIdempotent(t *testing.T) {
 	}
 	if s := server.Stats(); s.SweepsSubmitted != 1 || s.Pending != 1 {
 		t.Errorf("duplicate sweep state: %+v", s)
+	}
+	// A retry that carries jobs the sweep lacks (a matrix whose journaling
+	// a crash cut short) enqueues exactly those, into the same sweep.
+	longer := SubmitRequest{Jobs: smallJobs(t, "exchange2")[:2], Nonce: req.Nonce}
+	var topped SubmitResponse
+	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "", longer, &topped); err != nil {
+		t.Fatal(err)
+	}
+	if topped.SweepID != first.SweepID || topped.Jobs != 2 {
+		t.Errorf("retry with a longer matrix: %+v, want sweep %s with 2 jobs", topped, first.SweepID)
+	}
+	if s := server.Stats(); s.SweepsSubmitted != 1 || s.Pending != 2 {
+		t.Errorf("retry did not enqueue exactly the missing job: %+v", s)
 	}
 	// Closing the sweep releases the nonce; the same nonce then opens a
 	// fresh sweep rather than resolving to a dead id.

@@ -1,10 +1,14 @@
 package grid
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +17,7 @@ import (
 
 	"safespec/internal/core"
 	"safespec/internal/pipeline"
+	"safespec/internal/resultcache"
 	"safespec/internal/sweep"
 )
 
@@ -94,25 +99,24 @@ func TestResultBatchCursor(t *testing.T) {
 }
 
 // TestStreamCoordinatorRestart: a RemoteExecutor whose coordinator restarts
-// (losing all state) re-resolves its sweep by submission nonce, re-submits
-// the jobs the restarted process never saw, and completes every in-flight
+// (losing all state) mid-stream re-posts its announced matrix under its
+// submission nonce in one POST /v1/sweeps and completes every in-flight
 // Execute — and because restarted coordinators assign fresh random sweep
 // ids, it never silently adopts a sweep some other client opened after the
-// restart. The restart lands either mid-stream after a whole-matrix Submit,
-// or, with incremental submission, between the sweep's open and its first
-// per-job POST.
+// restart. The matrix is either announced whole, or filtered by a result
+// cache holding the even indexes, so only the odd ones reach the grid.
 func TestStreamCoordinatorRestart(t *testing.T) {
-	for _, incremental := range []bool{false, true} {
-		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
+	for _, cacheFiltered := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cacheFiltered=%v", cacheFiltered), func(t *testing.T) {
 			var handler atomic.Value // http.Handler
 			handler.Store(NewServer(ServerOptions{}).Handler())
 			var (
-				mu      sync.Mutex // guards oldID and foreign, set on a handler goroutine
+				mu      sync.Mutex // guards oldID, foreign and posted, set on handler goroutines
 				oldID   string
 				foreign SubmitResponse
+				posted  [][]sweep.Job // the executor's sweep submissions, in order
 			)
-			var restarted atomic.Bool
-			jobs := smallJobs(t, "exchange2")[:2]
+			jobs := smallJobs(t)
 			// restart swaps in a fresh coordinator process (empty state, new
 			// random ids) and has another client open a sweep on it; the old
 			// id must not resolve to that sweep, and recovery must not adopt it.
@@ -120,7 +124,7 @@ func TestStreamCoordinatorRestart(t *testing.T) {
 				handler.Store(NewServer(ServerOptions{}).Handler())
 				var resp SubmitResponse
 				if _, err := doJSON(context.Background(), http.DefaultClient, http.MethodPost,
-					base+"/v1/sweeps", "", SubmitRequest{Jobs: jobs}, &resp); err != nil {
+					base+"/v1/sweeps", "", SubmitRequest{Jobs: jobs[:1]}, &resp); err != nil {
 					t.Error(err)
 				}
 				mu.Lock()
@@ -128,21 +132,34 @@ func TestStreamCoordinatorRestart(t *testing.T) {
 				mu.Unlock()
 			}
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-				if incremental && req.Method == http.MethodPost && strings.HasSuffix(req.URL.Path, "/jobs") &&
-					restarted.CompareAndSwap(false, true) {
-					restart("http://"+req.Host, strings.TrimSuffix(strings.TrimPrefix(req.URL.Path, "/v1/sweeps/"), "/jobs"))
+				if req.Method == http.MethodPost && req.URL.Path == "/v1/sweeps" {
+					body, _ := io.ReadAll(req.Body)
+					req.Body = io.NopCloser(bytes.NewReader(body))
+					var sr SubmitRequest
+					if err := json.Unmarshal(body, &sr); err == nil && sr.Nonce != "" {
+						mu.Lock()
+						posted = append(posted, sr.Jobs)
+						mu.Unlock()
+					}
 				}
 				handler.Load().(http.Handler).ServeHTTP(w, req)
 			}))
 			defer srv.Close()
 
 			re := &RemoteExecutor{URL: srv.URL, PollWait: 50 * time.Millisecond}
-			if incremental {
-				// No job ever reaches the first process, so workers may poll
-				// from the start.
-				stop := startWorkers(t, srv.URL, 1)
-				defer stop()
-			} else if err := re.Submit(context.Background(), jobs); err != nil {
+			var exec interface {
+				sweep.Executor
+				sweep.Submitter
+			} = re
+			wantGrid := jobs
+			if cacheFiltered {
+				exec = resultcache.NewExecutor(halfWarmCache(t, jobs), re)
+				wantGrid = nil
+				for i := 1; i < len(jobs); i += 2 {
+					wantGrid = append(wantGrid, jobs[i])
+				}
+			}
+			if err := exec.Submit(context.Background(), jobs); err != nil {
 				t.Fatal(err)
 			}
 
@@ -153,26 +170,24 @@ func TestStreamCoordinatorRestart(t *testing.T) {
 			outc := make(chan outcome, len(jobs))
 			for i, j := range jobs {
 				go func() {
-					res, err := re.Execute(context.Background(), i, j)
+					res, err := exec.Execute(context.Background(), i, j)
 					outc <- outcome{res, err}
 				}()
 			}
-			if !incremental {
-				// Wait until the stream is live (a waiter is parked), then
-				// restart the coordinator under it.
-				for {
-					re.mu.Lock()
-					live, id := re.streamCtx != nil, re.sweepID
-					re.mu.Unlock()
-					if live {
-						restart(srv.URL, id)
-						break
-					}
-					time.Sleep(time.Millisecond)
+			// Wait until the stream is live (a waiter is parked), then
+			// restart the coordinator under it.
+			for {
+				re.mu.Lock()
+				live, id := re.streamCtx != nil, re.sweepID
+				re.mu.Unlock()
+				if live {
+					restart(srv.URL, id)
+					break
 				}
-				stop := startWorkers(t, srv.URL, 1)
-				defer stop()
+				time.Sleep(time.Millisecond)
 			}
+			stop := startWorkers(t, srv.URL, 1)
+			defer stop()
 			for range jobs {
 				select {
 				case out := <-outc:
@@ -202,6 +217,16 @@ func TestStreamCoordinatorRestart(t *testing.T) {
 			if newID == foreign.SweepID {
 				t.Errorf("recovery adopted the foreign sweep %s", foreign.SweepID)
 			}
+			// One submission, then one recovery re-posting the same matrix:
+			// only the jobs that reached the grid, whole, in one request.
+			if len(posted) != 2 {
+				t.Fatalf("executor sent %d sweep submissions, want 2 (submit + one recovery)", len(posted))
+			}
+			for n, got := range posted {
+				if !reflect.DeepEqual(got, wantGrid) {
+					t.Errorf("submission %d carried %d jobs, want the %d the grid runs", n, len(got), len(wantGrid))
+				}
+			}
 			if err := re.Close(); err != nil {
 				t.Errorf("close after restart: %v", err)
 			}
@@ -210,18 +235,19 @@ func TestStreamCoordinatorRestart(t *testing.T) {
 }
 
 // TestStreamRecoveryBounded: a coordinator that keeps losing the sweep makes
-// Execute fail within the one recovery bound instead of hanging. When every
-// sweep URL answers 404, the first recovery's job re-post fails; when only
-// the result stream does, re-resolution succeeds every time and the bound
-// of maxStreamRecoveries ends it. Both for a Submitted matrix and for
-// incremental submission.
+// Execute fail within the one recovery bound instead of hanging. Whether
+// every sweep URL answers 404 or only the result stream does, re-resolution
+// by nonce succeeds every time (recovery sends only POST /v1/sweeps), so
+// the bound of maxStreamRecoveries ends it. The incremental input executes
+// without a Submit, which fails at once without sending a request.
 func TestStreamRecoveryBounded(t *testing.T) {
 	for _, incremental := range []bool{false, true} {
 		for _, resultsOnly := range []bool{false, true} {
 			t.Run(fmt.Sprintf("incremental=%v/resultsOnly=%v", incremental, resultsOnly), func(t *testing.T) {
 				inner := NewServer(ServerOptions{}).Handler()
-				var opens atomic.Int32
+				var opens, requests atomic.Int32
 				srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+					requests.Add(1)
 					lost := strings.HasPrefix(req.URL.Path, "/v1/sweeps/")
 					if resultsOnly {
 						lost = strings.HasSuffix(req.URL.Path, "/results")
@@ -240,10 +266,17 @@ func TestStreamRecoveryBounded(t *testing.T) {
 				jobs := smallJobs(t, "exchange2")[:1]
 				re := &RemoteExecutor{URL: srv.URL, PollWait: 50 * time.Millisecond}
 				defer re.Close()
-				if !incremental {
-					if err := re.Submit(context.Background(), jobs); err != nil {
-						t.Fatal(err)
+				if incremental {
+					if _, err := re.Execute(context.Background(), 0, jobs[0]); err == nil {
+						t.Fatal("Execute succeeded on an index Submit never announced")
 					}
+					if n := requests.Load(); n != 0 {
+						t.Errorf("unannounced Execute sent %d requests, want 0", n)
+					}
+					return
+				}
+				if err := re.Submit(context.Background(), jobs); err != nil {
+					t.Fatal(err)
 				}
 				done := make(chan error, 1)
 				go func() {
@@ -259,11 +292,7 @@ func TestStreamRecoveryBounded(t *testing.T) {
 					t.Fatal("Execute hung against a coordinator that keeps losing the sweep")
 				}
 				// One open, then one nonce re-resolution per recovery.
-				want := int32(2)
-				if resultsOnly {
-					want = 1 + maxStreamRecoveries
-				}
-				if got := opens.Load(); got != want {
+				if got, want := opens.Load(), int32(1+maxStreamRecoveries); got != want {
 					t.Errorf("coordinator saw %d sweep opens, want %d", got, want)
 				}
 			})

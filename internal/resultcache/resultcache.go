@@ -308,10 +308,26 @@ func (c *Cache) String() string {
 // Executor serves jobs from the cache and delegates misses to an inner
 // executor (local simulation or the grid coordinator), storing fresh
 // successful results on the way back. It implements sweep.Executor, so a
-// cached sweep plugs into sweep.Run without any consumer changes.
+// cached sweep plugs into sweep.Run without any consumer changes, and
+// sweep.Submitter, so a matrix announcement reaches an inner Submitter
+// (the grid) carrying exactly the cache misses.
 type Executor struct {
 	cache *Cache
 	inner sweep.Executor
+
+	// announced holds one probe per index of the last announced matrix
+	// (nil until Submit forwards an announcement).
+	announced atomic.Pointer[[]probe]
+}
+
+// probe is one job's cache lookup: the hit it found, or the key to store a
+// miss under and the miss's index in the matrix handed to the inner
+// executor.
+type probe struct {
+	res      *core.Results // the hit; nil for a miss
+	key      string        // "" when the job could not be hashed
+	dense    int           // a miss's index among the forwarded misses
+	lookupNS int64
 }
 
 // NewExecutor wraps inner (nil selects sweep.LocalExecutor) with the cache.
@@ -322,49 +338,82 @@ func NewExecutor(c *Cache, inner sweep.Executor) *Executor {
 	return &Executor{cache: c, inner: inner}
 }
 
+// lookup hashes and looks up one job. An unhashable job counts as a cache
+// error and a miss without a key.
+func (e *Executor) lookup(j sweep.Job) probe {
+	key, err := j.Hash()
+	if err != nil {
+		e.cache.errs.Add(1)
+		return probe{}
+	}
+	start := time.Now()
+	res, ok, _ := e.cache.Get(key)
+	p := probe{key: key, lookupNS: int64(time.Since(start))}
+	if ok {
+		p.res = res
+	}
+	return p
+}
+
+// Submit implements sweep.Submitter. When the inner executor is a
+// Submitter, it looks up every job once, keeps the hits, and announces the
+// misses to the inner executor as one dense matrix (none at all when every
+// job hits); Execute then serves each index from its probe. Otherwise it
+// does nothing and Execute looks each job up as it comes.
+func (e *Executor) Submit(ctx context.Context, jobs []sweep.Job) error {
+	sub, ok := e.inner.(sweep.Submitter)
+	if !ok {
+		return nil
+	}
+	probes := make([]probe, len(jobs))
+	var misses []sweep.Job
+	for i, j := range jobs {
+		probes[i] = e.lookup(j)
+		if probes[i].res == nil {
+			probes[i].dense = len(misses)
+			misses = append(misses, j)
+		}
+	}
+	if len(misses) > 0 {
+		if err := sub.Submit(ctx, misses); err != nil {
+			return err
+		}
+	}
+	e.announced.Store(&probes)
+	return nil
+}
+
 // Execute resolves one job: cache hit, or inner execution plus a store.
 // Cache failures (unhashable job, corrupt entry, failed write) degrade to
 // plain execution — a broken cache must never fail a sweep whose
 // simulations succeed — and are visible in the Errors counter.
 func (e *Executor) Execute(ctx context.Context, index int, j sweep.Job) (*core.Results, error) {
-	key, err := j.Hash()
-	if err != nil {
-		e.cache.errs.Add(1)
-		return e.inner.Execute(ctx, index, j)
-	}
-	if res, ok, _ := e.cache.Get(key); ok {
-		return res, nil
-	}
-	res, err := e.inner.Execute(ctx, index, j)
-	if err == nil && res != nil {
-		if perr := e.cache.Put(key, res); perr != nil {
-			e.cache.errs.Add(1)
-		}
-	}
+	res, _, err := e.ExecuteTimed(ctx, index, j)
 	return res, err
 }
 
 // ExecuteTimed is Execute with a span breakdown: lookup and store time are
 // attributed to the cache span, and a miss merges the inner executor's own
-// spans (a hit has no simulate span at all).
+// spans (a hit has no simulate span at all). An announced index takes its
+// probe and runs a miss at its dense index; any other index is looked up
+// now and runs at its own index.
 func (e *Executor) ExecuteTimed(ctx context.Context, index int, j sweep.Job) (*core.Results, *sweep.Timing, error) {
-	t := &sweep.Timing{}
-	key, err := j.Hash()
-	if err != nil {
-		e.cache.errs.Add(1)
-		res, err := e.innerTimed(ctx, index, j, t)
-		return res, t, err
+	var p probe
+	at := index
+	if ann := e.announced.Load(); ann != nil && index >= 0 && index < len(*ann) {
+		p = (*ann)[index]
+		at = p.dense
+	} else {
+		p = e.lookup(j)
 	}
-	start := time.Now()
-	res, ok, _ := e.cache.Get(key)
-	t.CacheNS += int64(time.Since(start))
-	if ok {
-		return res, t, nil
+	t := &sweep.Timing{CacheNS: p.lookupNS}
+	if p.res != nil {
+		return p.res, t, nil
 	}
-	res, err = e.innerTimed(ctx, index, j, t)
-	if err == nil && res != nil {
-		start = time.Now()
-		perr := e.cache.Put(key, res)
+	res, err := e.innerTimed(ctx, at, j, t)
+	if err == nil && res != nil && p.key != "" {
+		start := time.Now()
+		perr := e.cache.Put(p.key, res)
 		t.CacheNS += int64(time.Since(start))
 		if perr != nil {
 			e.cache.errs.Add(1)

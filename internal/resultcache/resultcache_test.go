@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -323,4 +325,78 @@ func TestReadFaultSeam(t *testing.T) {
 	if err != nil || !ok || got.Committed != 9 {
 		t.Fatalf("clean read after clearing the fault: ok=%v err=%v res=%+v", ok, err, got)
 	}
+}
+
+// FuzzCacheEntry feeds arbitrary bytes through the read-fault seam in place
+// of one stored entry. Get must never panic, and it may serve a hit only for
+// an envelope whose version, key and checksum all match; such a result
+// survives a Put/Get round trip byte for byte.
+func FuzzCacheEntry(f *testing.F) {
+	cache, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	clean, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	const key = "c0ffee42"
+	if err := cache.Put(key, &core.Results{Stats: &pipeline.Stats{Committed: 1234, Cycles: 5678}}); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(cache.path(key))
+	if err != nil {
+		f.Fatal(err)
+	}
+	sumless, err := json.Marshal(envelope{Version: FormatVersion, Key: key,
+		Res: &core.Results{Stats: &pipeline.Stats{Committed: 1234}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(sumless)
+	f.Add([]byte{})
+	for _, n := range []int{1, len(valid) / 2, len(valid) - 2} {
+		f.Add(valid[:n])
+	}
+	for _, at := range []int{0, len(valid) / 3, len(valid) / 2, len(valid) - 3} {
+		flipped := append([]byte(nil), valid...)
+		flipped[at] ^= 0x04
+		f.Add(flipped)
+	}
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		cache.SetReadFault(func([]byte) []byte { return b })
+		res, ok, err := cache.Get(key)
+		if ok != (err == nil) {
+			t.Fatalf("Get: ok=%v with err=%v", ok, err)
+		}
+		if !ok {
+			return
+		}
+		var e envelope
+		if err := json.Unmarshal(b, &e); err != nil {
+			t.Fatalf("hit served from bytes that do not decode: %v", err)
+		}
+		if e.Version != FormatVersion || e.Key != key || e.Res == nil {
+			t.Fatalf("hit served from a mismatched envelope: version %d, key %q", e.Version, e.Key)
+		}
+		enc, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := strconv.FormatUint(uint64(crc32.ChecksumIEEE(enc)), 16); sum != e.Sum {
+			t.Fatalf("hit served with checksum %q, result sums to %q", e.Sum, sum)
+		}
+		if err := clean.Put(key, res); err != nil {
+			t.Fatal(err)
+		}
+		again, ok, err := clean.Get(key)
+		if err != nil || !ok {
+			t.Fatalf("round trip of a served hit: ok=%v err=%v", ok, err)
+		}
+		if enc2, _ := json.Marshal(again); !bytes.Equal(enc, enc2) {
+			t.Fatalf("round trip changed the result:\n%s\nvs\n%s", enc, enc2)
+		}
+	})
 }

@@ -93,10 +93,10 @@ type Executor interface {
 // Submitter is an optional Executor extension: when the executor of a Run
 // implements it, Run announces the complete job matrix once, before any
 // Execute call. A remote backend uses the announcement to enqueue the whole
-// sweep in a single request and start the fleet draining it immediately;
-// executors wrapping another executor (like the result cache) deliberately
-// do not forward the announcement, so only the jobs that actually reach the
-// inner executor are ever submitted.
+// sweep in a single request and start the fleet draining it immediately.
+// An executor wrapping another one forwards to an inner Submitter only the
+// jobs that will reach it: the result cache announces its misses,
+// renumbered densely, and runs each at its dense index.
 type Submitter interface {
 	Submit(ctx context.Context, jobs []Job) error
 }

@@ -82,8 +82,8 @@ func (j *JSONL) Observe(r Result) error { return j.enc.Encode(MakeRow(r)) }
 func (j *JSONL) Flush() error { return nil }
 
 // Aggregate accumulates sweep-level accounting: job counts, summed per-job
-// wall time (worker-busy time) and committed instructions, plus per-(bench,
-// mode) IPC samples so a multi-seed fan collapses into mean ± 95% CI cells.
+// busy time and committed instructions, plus per-(bench, mode) IPC samples
+// so a multi-seed fan collapses into mean ± 95% CI cells.
 // It is the in-memory sink behind the progress summary of
 // cmd/safespec-bench.
 type Aggregate struct {
@@ -91,8 +91,11 @@ type Aggregate struct {
 	Jobs, Errored int
 	// Committed and Cycles sum the simulated work across jobs.
 	Committed, Cycles uint64
-	// Busy sums per-job wall time across workers; MaxWall is the slowest
-	// single job.
+	// Busy sums per-job busy time across workers; MaxWall is the slowest
+	// single job by the same clock. A job's busy time is its cache,
+	// simulate and report spans when it carries a Timing (so a remote
+	// sweep's coordinator queue wait is not counted as work), else its
+	// Wall.
 	Busy, MaxWall time.Duration
 	// Spans sums the per-job Timing breakdowns across the Timed results
 	// that carried one (results without Timing only contribute to Busy).
@@ -122,15 +125,17 @@ type CellStat struct {
 }
 
 // Observe folds one result into the totals. Errored jobs still contribute
-// their wall time: a job that fails late has occupied its worker all along.
+// their busy time: a job that fails late has occupied its worker all along.
 func (a *Aggregate) Observe(r Result) error {
 	a.Jobs++
-	a.Busy += r.Wall
-	a.MaxWall = max(a.MaxWall, r.Wall)
-	if r.Timing != nil {
-		a.Spans.Add(*r.Timing)
+	busy := r.Wall
+	if t := r.Timing; t != nil {
+		busy = time.Duration(t.CacheNS + t.SimulateNS + t.ReportNS)
+		a.Spans.Add(*t)
 		a.Timed++
 	}
+	a.Busy += busy
+	a.MaxWall = max(a.MaxWall, busy)
 	if r.Err != nil {
 		a.Errored++
 		return nil

@@ -353,6 +353,31 @@ func TestAggregate(t *testing.T) {
 	}
 }
 
+// TestAggregateBusyFromSpans: a result carrying a Timing is busy for its
+// cache, simulate and report spans only, so queue wait (a remote sweep's
+// coordinator queue) is not counted as work; an untimed result is busy for
+// its whole Wall.
+func TestAggregateBusyFromSpans(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		timing *Timing
+		want   time.Duration
+	}{
+		{"queued remote job", &Timing{QueueNS: int64(9 * time.Second), SimulateNS: int64(time.Second)}, time.Second},
+		{"all spans", &Timing{QueueNS: 1, CacheNS: 2, SimulateNS: 30, ReportNS: 400}, 432},
+		{"cache hit", &Timing{CacheNS: int64(time.Millisecond)}, time.Millisecond},
+		{"untimed", nil, 10 * time.Second},
+	} {
+		var agg Aggregate
+		if err := agg.Observe(Result{Err: errors.New("x"), Wall: 10 * time.Second, Timing: tc.timing}); err != nil {
+			t.Fatal(err)
+		}
+		if agg.Busy != tc.want || agg.MaxWall != tc.want {
+			t.Errorf("%s: busy %v, slowest %v; want both %v", tc.name, agg.Busy, agg.MaxWall, tc.want)
+		}
+	}
+}
+
 // TestSeedChangesProgram checks the seed override reaches the generator.
 func TestSeedChangesProgram(t *testing.T) {
 	base := Job{Bench: "gcc", Mode: "baseline", Config: core.Baseline().WithLimits(2_000, 0)}
