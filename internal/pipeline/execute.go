@@ -60,21 +60,24 @@ func (c *CPU) executeScan(t *thread, issued, loads, stores *int) {
 }
 
 // issueOutcome classifies a failed (or successful) issue attempt so the
-// event scheduler knows whether to drop the entry from the ready queue
-// (issueOperands: a producer wakeup will re-enqueue it) or keep retrying it
-// every cycle (issueBlocked), exactly as the reference scan would.
+// event scheduler knows where the entry waits next: issueOperands drops it
+// from the ready queue (a producer wakeup re-enqueues it), issueAwaitStore
+// parks it until a store of its thread issues, and issueBlocked keeps it in
+// the ready queue to retry every cycle, exactly as the reference scan
+// would. The scan treats every outcome but issueOK alike.
 type issueOutcome uint8
 
 const (
-	issueOK       issueOutcome = iota // entry began executing
-	issueOperands                     // an operand's producer has not finished
-	issueBlocked                      // structural retry: blocked memory, CSR serialization, unresolved older store
+	issueOK         issueOutcome = iota // entry began executing
+	issueOperands                       // an operand's producer has not finished
+	issueAwaitStore                     // load behind an older store with an unresolved address
+	issueBlocked                        // structural retry: blocked memory, CSR serialization, forwarding from a faulting store
 )
 
 // tryIssue attempts to begin execution of e on thread t. It reports failure
-// when operands are not ready, a structural condition blocks, or the memory
-// system asked for a retry (shadow Block policy, unresolved older store
-// address).
+// when operands are not ready, an older store's address is unresolved, a
+// structural condition blocks, or the memory system asked for a retry
+// (shadow Block policy).
 func (c *CPU) tryIssue(t *thread, idx int, e *entry) issueOutcome {
 	v1, ok1 := t.resolveSrc(e.reg1, e.src1)
 	v2, ok2 := t.resolveSrc(e.reg2, e.src2)
@@ -147,9 +150,9 @@ func (c *CPU) issueLoad(t *thread, idx int, e *entry, v1 int64) issueOutcome {
 
 	// Walk older stores, youngest-first, over the store bitmap. An older
 	// store with an unresolved address blocks the load (no
-	// memory-dependence speculation).
+	// memory-dependence speculation) until that store issues.
 	if s, blocked := c.olderStoreScan(t, idx, va); blocked {
-		return issueBlocked
+		return issueAwaitStore
 	} else if s != nil {
 		if s.fault != mem.FaultNone {
 			// Forwarding from a faulting store: the load will be
@@ -213,6 +216,8 @@ func (c *CPU) issueStore(t *thread, idx int, e *entry, v1, v2 int64) issueOutcom
 	e.completeAt = c.cycle + uint64(isa.Latency(e.in.Op))
 	t.iqCount--
 	c.schedIssued(t, idx, e)
+	// A resolved store address can unblock the loads parked behind it.
+	t.wake(t.storeWait)
 	c.wfbMoveIfSafe(t, e)
 	return issueOK
 }

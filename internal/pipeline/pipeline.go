@@ -305,12 +305,14 @@ type thread struct {
 
 	// Event-driven scheduler state (sched.go) over this thread's ROB
 	// partition: slot bitmaps for ready and completed work, per-producer
-	// wakeup rows, the in-flight store bitmap, and the completion timing
-	// wheel.
+	// wakeup rows, the in-flight store bitmap, the loads parked on an
+	// unresolved older store address, and the completion timing wheel with
+	// its drain cursor.
 	schedWords  int
 	readyMask   []uint64
 	compMask    []uint64
 	storeMask   []uint64
+	storeWait   []uint64
 	waiters     []uint64
 	bucketHead  []int32
 	bucketOcc   []uint64
@@ -318,6 +320,7 @@ type thread struct {
 	wheelPrev   []int32
 	wheelBucket []int32
 	wheelCount  int
+	drainedAt   uint64
 	overflow    []int32
 
 	// halted marks this thread finished (halt committed, or its pipeline

@@ -7,31 +7,46 @@ import "math/bits"
 // hook) rediscovers work by walking every in-flight ROB entry each cycle;
 // with a 224-entry window that walk dominates simulation time even though
 // only a handful of entries change state per cycle. The event-driven
-// scheduler keeps three kinds of derived state — per hardware thread, over
+// scheduler keeps four kinds of derived state — per hardware thread, over
 // that thread's ROB partition — so each cycle touches only the entries that
 // act:
 //
 //   - readyMask: a slot bitmap of stWait entries worth attempting to issue —
 //     entries whose operands were ready at dispatch, plus entries woken when
-//     a producer wrote back, plus entries that failed for a structural
-//     reason (blocked memory, CSR serialization) and must retry. Iterating
-//     set bits from the ROB head preserves the scan's oldest-first issue
-//     priority exactly.
+//     a producer wrote back or when a store issued, plus entries that failed
+//     for a structural reason (blocked memory, CSR serialization, forwarding
+//     from a faulting store) and must retry every cycle. Iterating set bits
+//     from the ROB head preserves the scan's oldest-first issue priority
+//     exactly.
 //   - waiters: per-producer slot bitmaps. A dispatched entry whose operand
 //     names an unfinished producer registers in that producer's row; the
 //     producer's writeback ORs the row into readyMask. Spurious wakeups
 //     (stale bits surviving a squash of the waiter) are harmless: the
 //     attempt fails operand resolution without side effects and the bit is
 //     dropped again.
+//   - storeWait: a slot bitmap of loads parked because an older store's
+//     address is unresolved (no memory-dependence speculation). Only that
+//     store's issue can resolve it — an unresolved store cannot commit, and
+//     squashing it squashes the load too — so a parked load leaves
+//     readyMask and every successful store issue of the thread moves all
+//     parked loads back. The store is older than each load it blocks, so
+//     the same oldest-first pass reaches the woken loads later in the
+//     cycle, exactly when the scan's per-cycle retry would have succeeded;
+//     loads woken in vain fail again without side effects and re-park.
+//     Squash leaves a parked load's bit behind: dispatch clears it when the
+//     slot is reused, and a wakeup before that is filtered like a stale
+//     waiter's.
 //   - a completion timing wheel keyed on completeAt: issuing schedules the
 //     entry in bucket completeAt mod span, where span is a power of two
 //     sized at Reset to exceed the largest latency the denormalized
-//     cache/TLB/memory configuration can compose. Because every scheduled
-//     entry completes within span cycles, each occupied bucket holds exactly
-//     one completion time, so draining due buckets and peeking the next
-//     event both cost O(occupied buckets) — in practice the handful of
-//     distinct latencies in flight. fastForward becomes that peek instead of
-//     an O(ROB) re-scan.
+//     cache/TLB/memory configuration can compose. The cursor drainedAt is
+//     the cycle of the thread's last drain, and every scheduled entry
+//     completes in (drainedAt, drainedAt+span), so each occupied bucket
+//     holds exactly one completion time and the bucket index alone says
+//     when. Draining at cycle C empties just the buckets of cycles
+//     drainedAt+1..C (usually one) without reading a ROB entry, and peeking
+//     the next event takes the first occupied bucket after the cursor, one
+//     ROB read. fastForward becomes that peek instead of an O(ROB) re-scan.
 //
 // The bitmaps are indexed by ROB slot, not ordinal, so squash and commit
 // clear state in O(1) per entry and iteration order falls out of starting
@@ -54,11 +69,13 @@ func (c *CPU) schedReset(t *thread) {
 		t.readyMask = make([]uint64, words)
 		t.compMask = make([]uint64, words)
 		t.storeMask = make([]uint64, words)
+		t.storeWait = make([]uint64, words)
 		t.waiters = make([]uint64, len(t.rob)*words)
 	} else {
 		clearWords(t.readyMask)
 		clearWords(t.compMask)
 		clearWords(t.storeMask)
+		clearWords(t.storeWait)
 		clearWords(t.waiters)
 	}
 
@@ -83,6 +100,7 @@ func (c *CPU) schedReset(t *thread) {
 	}
 	t.overflow = t.overflow[:0]
 	t.wheelCount = 0
+	t.drainedAt = 0
 }
 
 // wheelSpan sizes the completion wheel: a power of two strictly above the
@@ -123,6 +141,7 @@ func (c *CPU) schedDispatch(t *thread, idx int, e *entry) {
 	}
 	clearBit(t.readyMask, idx)
 	clearBit(t.compMask, idx)
+	clearBit(t.storeWait, idx)
 	if e.isStore {
 		setBit(t.storeMask, idx)
 	}
@@ -147,10 +166,16 @@ func (c *CPU) schedDispatch(t *thread, idx int, e *entry) {
 // time.
 func (c *CPU) wakeWaiters(t *thread, idx int) {
 	row := idx * t.schedWords
-	for w := 0; w < t.schedWords; w++ {
-		if bits := t.waiters[row+w]; bits != 0 {
+	t.wake(t.waiters[row : row+t.schedWords])
+}
+
+// wake moves every slot set in the bitmap row into t's ready queue and
+// clears row.
+func (t *thread) wake(row []uint64) {
+	for w, bits := range row {
+		if bits != 0 {
 			t.readyMask[w] |= bits
-			t.waiters[row+w] = 0
+			row[w] = 0
 		}
 	}
 }
@@ -185,7 +210,10 @@ func (c *CPU) schedSquash(t *thread, idx int) {
 }
 
 // wheelAdd schedules thread t's slot idx to complete at cycle `at`
-// (> c.cycle).
+// (> c.cycle). The event scheduler issues only after the thread's drain of
+// the same cycle, so drainedAt == c.cycle here and a bucketed entry lands
+// within one revolution of the cursor. (The reference scan never drains or
+// peeks the wheel.)
 func (c *CPU) wheelAdd(t *thread, idx int, at uint64) {
 	span := uint64(len(t.bucketHead))
 	if at-c.cycle >= span {
@@ -241,22 +269,19 @@ func (c *CPU) wheelRemove(t *thread, idx int) {
 }
 
 // drainWheel moves every scheduled entry whose completeAt has passed into
-// compMask. Each occupied bucket holds exactly one completion time (every
-// entry completes within one wheel revolution of its issue), so testing the
-// bucket head decides the whole bucket.
+// compMask and advances the drain cursor to the current cycle. The due
+// entries are exactly those in the buckets of cycles drainedAt+1..cycle; a
+// gap of a whole revolution or more makes every scheduled entry due.
 func (c *CPU) drainWheel(t *thread) {
 	if t.wheelCount > 0 {
-		for w := range t.bucketOcc {
-			occ := t.bucketOcc[w]
-			for occ != 0 {
-				b := w<<6 + bits.TrailingZeros64(occ)
-				occ &= occ - 1
-				if t.rob[t.bucketHead[b]].completeAt <= c.cycle {
-					c.drainBucket(t, b)
-				}
-			}
+		span := uint64(len(t.bucketHead))
+		if gap := c.cycle - t.drainedAt; gap >= span {
+			c.drainBuckets(t, 0, int(span))
+		} else if gap > 0 {
+			c.drainBuckets(t, int((t.drainedAt+1)&(span-1)), int(gap))
 		}
 	}
+	t.drainedAt = c.cycle
 	for i := 0; i < len(t.overflow); {
 		idx := int(t.overflow[i])
 		if t.rob[idx].completeAt <= c.cycle {
@@ -267,6 +292,29 @@ func (c *CPU) drainWheel(t *thread) {
 			continue
 		}
 		i++
+	}
+}
+
+// drainBuckets empties every occupied bucket among the n buckets starting
+// at lo, wrapping past the end of the wheel.
+func (c *CPU) drainBuckets(t *thread, lo, n int) {
+	mask := len(t.bucketHead) - 1
+	for n > 0 {
+		off := lo & 63
+		k := 64 - off
+		if k > n {
+			k = n
+		}
+		occ := t.bucketOcc[lo>>6] >> uint(off)
+		if k < 64 {
+			occ &= 1<<uint(k) - 1
+		}
+		for occ != 0 {
+			c.drainBucket(t, lo+bits.TrailingZeros64(occ))
+			occ &= occ - 1
+		}
+		n -= k
+		lo = (lo + k) & mask
 	}
 }
 
@@ -283,21 +331,22 @@ func (c *CPU) drainBucket(t *thread, b int) {
 	clearBit(t.bucketOcc, b)
 }
 
-// wheelPeek returns thread t's earliest scheduled completion strictly after
-// the current cycle (every due entry was drained and written back before an
-// idle cycle can reach fastForward).
+// wheelPeek returns thread t's earliest scheduled completion after its drain
+// cursor (every due entry was drained and written back before an idle cycle
+// can reach fastForward, so that is the next completion event). The wheel
+// answer is the first occupied bucket cyclically after the cursor.
 func (c *CPU) wheelPeek(t *thread) (next uint64, ok bool) {
 	if t.wheelCount > 0 {
-		for w := range t.bucketOcc {
-			occ := t.bucketOcc[w]
-			for occ != 0 {
-				b := w<<6 + bits.TrailingZeros64(occ)
-				occ &= occ - 1
-				if at := t.rob[t.bucketHead[b]].completeAt; !ok || at < next {
-					next, ok = at, true
-				}
-			}
+		mask := len(t.bucketHead) - 1
+		start := int(t.drainedAt+1) & mask
+		w, off := start>>6, uint(start&63)
+		occ := t.bucketOcc[w] >> off << off // buckets at or after start in its word
+		for occ == 0 {
+			w = (w + 1) % len(t.bucketOcc)
+			occ = t.bucketOcc[w] // wraps to start's word last, whole
 		}
+		b := w<<6 + bits.TrailingZeros64(occ)
+		next, ok = t.rob[t.bucketHead[b]].completeAt, true
 	}
 	for _, s := range t.overflow {
 		if at := t.rob[s].completeAt; !ok || at < next {
@@ -381,10 +430,15 @@ func (c *CPU) executeRange(t *thread, lo, hi int, issued, loads, stores *int) bo
 				// Not ready after all: drop the bit; the registration with
 				// the unfinished producer re-wakes it.
 				clearBit(t.readyMask, idx)
+			case issueAwaitStore:
+				// An older store's address is unresolved: park the load
+				// until a store of this thread issues (issueStore).
+				clearBit(t.readyMask, idx)
+				setBit(t.storeWait, idx)
 			case issueBlocked:
 				// Structural retry (blocked memory, CSR serialization,
-				// unresolved older store): keep the bit, as the scan keeps
-				// re-attempting every cycle.
+				// forwarding from a faulting store): keep the bit, as the
+				// scan keeps re-attempting every cycle.
 			case issueOK:
 				c.active = true
 				*issued++

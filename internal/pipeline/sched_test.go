@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -15,13 +16,13 @@ import (
 
 // diffRun executes prog under cfg on the event-driven scheduler and on the
 // reference scan scheduler and requires bit-identical statistics and
-// architectural state. This is the equivalence contract of the event
-// scheduler: same issues, same writebacks, same squashes, same skipped
-// cycles — not just the same final registers.
+// architectural state on every hardware thread. This is the equivalence
+// contract of the event scheduler: same issues, same writebacks, same
+// squashes, same skipped cycles — not just the same final registers.
 func diffRun(t *testing.T, name string, cfg pipeline.Config, prog *isa.Program,
 	sample bool, setup func(*pipeline.CPU, *isa.Program)) {
 	t.Helper()
-	run := func(ref bool) (*pipeline.Stats, [isa.RegCount]int64) {
+	run := func(ref bool) (*pipeline.Stats, [][isa.RegCount]int64) {
 		cpu := pipeline.New(cfg, prog)
 		cpu.SetReferenceScheduler(ref)
 		if sample {
@@ -31,9 +32,11 @@ func diffRun(t *testing.T, name string, cfg pipeline.Config, prog *isa.Program,
 			setup(cpu, prog)
 		}
 		st := cpu.Run()
-		var regs [isa.RegCount]int64
-		for r := 0; r < isa.RegCount; r++ {
-			regs[r] = cpu.Reg(isa.Reg(r))
+		regs := make([][isa.RegCount]int64, cpu.Threads())
+		for tid := range regs {
+			for r := 0; r < isa.RegCount; r++ {
+				regs[tid][r] = cpu.RegOf(tid, isa.Reg(r))
+			}
 		}
 		return st, regs
 	}
@@ -44,8 +47,8 @@ func diffRun(t *testing.T, name string, cfg pipeline.Config, prog *isa.Program,
 			name, evSt.Cycles, evSt.Committed, evSt.Squashed, evSt.Mispredicts,
 			refSt.Cycles, refSt.Committed, refSt.Squashed, refSt.Mispredicts)
 	}
-	if evRegs != refRegs {
-		t.Errorf("%s: event scheduler register file diverges from reference scan", name)
+	if !reflect.DeepEqual(evRegs, refRegs) {
+		t.Errorf("%s: event scheduler register files diverge from reference scan", name)
 	}
 }
 
@@ -72,26 +75,164 @@ func TestSchedulerDifferentialRandom(t *testing.T) {
 	}
 }
 
+// TestSchedulerDifferentialSMT repeats the random-program differential on
+// 2- and 4-thread cores in every mode. The scheduler's bitmaps, parked
+// loads and wheel cursor are per-thread state over per-thread ROB
+// partitions; this is the test that covers them with threads interleaved.
+func TestSchedulerDifferentialSMT(t *testing.T) {
+	for trial := 0; trial < 8; trial++ {
+		prog := randomProgram(int64(trial)*4_099 + 3)
+		for name, cfg := range modeConfigs() {
+			for _, threads := range []int{2, 4} {
+				cfg.Threads = threads
+				diffRun(t, fmt.Sprintf("smt%d/%s", threads, name), cfg, prog, trial%2 == 0, nil)
+			}
+		}
+	}
+}
+
+// tinyShadowConfig returns a cramped WFC core: a tiny ROB/IQ/LSQ and branch-tag
+// budget, and shadow structures of a few entries with the given policy.
+func tinyShadowConfig(policy shadow.OnFull) pipeline.Config {
+	cfg := core.WFC().Pipeline
+	cfg.ROBSize = 12
+	cfg.IQSize = 6
+	cfg.LDQSize = 3
+	cfg.STQSize = 3
+	cfg.MaxBranchTags = 3
+	cfg.ShadowD = shadow.Policy{Name: "shadow-dcache", Entries: 2, WhenFull: policy}
+	cfg.ShadowI = shadow.Policy{Name: "shadow-icache", Entries: 4, WhenFull: policy}
+	cfg.ShadowDTLB = shadow.Policy{Name: "shadow-dtlb", Entries: 2, WhenFull: policy}
+	cfg.ShadowITLB = shadow.Policy{Name: "shadow-itlb", Entries: 2, WhenFull: policy}
+	return cfg.Normalize()
+}
+
 // TestSchedulerDifferentialTinyConfig repeats the differential on a cramped
-// core: tiny ROB/IQ/LSQ and branch-tag budget exercise every structural
-// stall, and Block-policy shadow structures exercise the blocked-issue
-// retry path (entries that must be re-attempted every cycle, not woken).
+// core: the tiny window exercises every structural stall, and Block-policy
+// shadow structures exercise the blocked-issue retry path (entries that
+// must be re-attempted every cycle, not woken), next to loads parked on an
+// unresolved older store and woken by its issue.
 func TestSchedulerDifferentialTinyConfig(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		prog := randomProgram(int64(trial)*31_337 + 7)
 		for _, policy := range []shadow.OnFull{shadow.Drop, shadow.Block} {
-			cfg := core.WFC().Pipeline
-			cfg.ROBSize = 12
-			cfg.IQSize = 6
-			cfg.LDQSize = 3
-			cfg.STQSize = 3
-			cfg.MaxBranchTags = 3
-			cfg.ShadowD = shadow.Policy{Name: "shadow-dcache", Entries: 2, WhenFull: policy}
-			cfg.ShadowI = shadow.Policy{Name: "shadow-icache", Entries: 4, WhenFull: policy}
-			cfg.ShadowDTLB = shadow.Policy{Name: "shadow-dtlb", Entries: 2, WhenFull: policy}
-			cfg.ShadowITLB = shadow.Policy{Name: "shadow-itlb", Entries: 2, WhenFull: policy}
-			cfg = cfg.Normalize()
-			diffRun(t, "tiny", cfg, prog, false, nil)
+			diffRun(t, "tiny", tinyShadowConfig(policy), prog, false, nil)
+		}
+	}
+}
+
+// storeHeavyProgram loops over groups of a store whose address resolves
+// late — its base register comes from a divide or from a load of a line
+// flushed every iteration — followed by loads of the same doubleword (which
+// forward once the store resolves) and of other doublewords (which must
+// wait for it all the same: there is no memory-dependence speculation).
+// Every fourth iteration also stores to a kernel page and loads the same
+// doubleword back: the load finds a faulting store to forward from and
+// stalls until the store's trap, whose handler resumes the loop.
+func storeHeavyProgram(seed int64) *isa.Program {
+	rng := rand.New(rand.NewSource(seed))
+	b := asm.NewBuilder()
+	const base = 0x2_0000
+	const table = base + 2048 // offsets into the first 512 bytes
+	const kern = 0x3_0000
+	b.Region(base, 4096, false)
+	b.Region(kern, 4096, true)
+	offs := make([]int64, 16)
+	for i := range offs {
+		offs[i] = int64(rng.Intn(64)) * 8
+		b.Data(table+uint64(i)*8, offs[i])
+		b.Data(base+uint64(i)*8, rng.Int63n(1000))
+	}
+	b.SetTrapHandler("handler")
+	b.Movi(isa.S10, base)
+	b.Movi(isa.S9, table)
+	b.Movi(isa.S8, kern)
+	b.Movi(isa.S11, 0) // iteration counter
+	b.Movi(isa.S0, 1)  // stored value and load accumulator
+	b.Label("loop")
+	groups := 2 + rng.Intn(3)
+	for g := 0; g < groups; g++ {
+		slot := int64(rng.Intn(len(offs)))
+		if rng.Intn(2) == 0 {
+			const d = 7
+			b.Movi(isa.T1, offs[slot]*d)
+			b.Movi(isa.T2, d)
+			b.Div(isa.T0, isa.T1, isa.T2)
+		} else {
+			b.Load(isa.T0, isa.S9, slot*8)
+			b.Clflush(isa.S9, slot*8) // the next iteration's load misses again
+		}
+		b.Add(isa.T3, isa.S10, isa.T0)
+		b.Store(isa.S0, isa.T3, 0)
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			if rng.Intn(2) == 0 {
+				b.Load(isa.T4, isa.T3, 0)
+			} else {
+				b.Load(isa.T4, isa.S10, int64(rng.Intn(64))*8)
+			}
+			b.Add(isa.S0, isa.S0, isa.T4)
+		}
+		b.Andi(isa.S0, isa.S0, 0xffff)
+	}
+	b.Andi(isa.T5, isa.S11, 3)
+	b.Bne(isa.T5, isa.Zero, "next")
+	koff := int64(rng.Intn(64)) * 8
+	b.Store(isa.S0, isa.S8, koff)
+	b.Load(isa.T4, isa.S8, koff)
+	b.Add(isa.S0, isa.S0, isa.T4)
+	b.Label("next")
+	b.Addi(isa.S11, isa.S11, 1)
+	b.Slti(isa.T6, isa.S11, int64(8+rng.Intn(16)))
+	b.Bne(isa.T6, isa.Zero, "loop")
+	b.Halt()
+	b.Label("handler")
+	b.Jmp("next")
+	return b.MustBuild()
+}
+
+// TestSchedulerDifferentialStoreHeavy pins the park-and-wake path of loads
+// behind an unresolved older store: every mode, the tiny core with Drop and
+// Block shadows (parked loads next to per-cycle retries), and two threads.
+func TestSchedulerDifferentialStoreHeavy(t *testing.T) {
+	for trial := 0; trial < 8; trial++ {
+		prog := storeHeavyProgram(int64(trial)*7_919 + 11)
+		for name, cfg := range modeConfigs() {
+			diffRun(t, "store/"+name, cfg, prog, false, nil)
+			cfg.Threads = 2
+			diffRun(t, "store/smt2/"+name, cfg, prog, false, nil)
+		}
+		for _, policy := range []shadow.OnFull{shadow.Drop, shadow.Block} {
+			diffRun(t, "store/tiny", tinyShadowConfig(policy), prog, false, nil)
+		}
+	}
+	// Every parked load is still blocked by an unresolved older store after
+	// each cycle (parking is exact), and the workload really parks loads
+	// and really traps on its kernel stores.
+	smt := core.WFC().Pipeline
+	smt.Threads = 2
+	for name, cfg := range map[string]pipeline.Config{
+		"wfc": core.WFC().Pipeline, "smt2": smt, "tiny": tinyShadowConfig(shadow.Block),
+	} {
+		parked, traps := 0, uint64(0)
+		for trial := 0; trial < 8; trial++ {
+			cpu := pipeline.New(cfg, storeHeavyProgram(int64(trial)*7_919+11))
+			for !cpu.Halted() && cpu.Cycle() < 1_000_000 {
+				cpu.Step()
+				if n := cpu.WronglyParkedLoads(); n != 0 {
+					t.Fatalf("%s trial %d: cycle %d: %d parked loads are no longer behind an unresolved store",
+						name, trial, cpu.Cycle(), n)
+				}
+				if n := cpu.ParkedLoads(); n > parked {
+					parked = n
+				}
+			}
+			traps += cpu.St.Traps
+		}
+		if parked == 0 {
+			t.Errorf("%s: store-heavy kernels never parked a load behind an unresolved store", name)
+		}
+		if traps == 0 {
+			t.Errorf("%s: store-heavy kernels never trapped on a kernel store", name)
 		}
 	}
 }

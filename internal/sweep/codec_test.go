@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,8 @@ import (
 	"time"
 
 	"safespec/internal/core"
+	"safespec/internal/pipeline"
+	"safespec/internal/stats"
 )
 
 func TestJobHashNormalizationInvariance(t *testing.T) {
@@ -175,4 +178,58 @@ func TestAggregateCells(t *testing.T) {
 			t.Errorf("cell %s: negative CI", c.Mode)
 		}
 	}
+}
+
+// FuzzResultCodec feeds arbitrary bytes to the Result decoder, the reader
+// of grid result reports and replayed JSONL. UnmarshalJSON must never
+// panic, and whatever decodes must re-encode canonically: encoding the
+// decoded value, decoding that, and encoding again yields the same bytes.
+func FuzzResultCodec(f *testing.F) {
+	occ := stats.NewHistogram(4)
+	occ.Add(1)
+	occ.Add(3)
+	timed := Result{
+		Index: 5,
+		Job:   Job{Bench: "mcf", Mode: "wfc", Seed: 2, Config: core.WFC().WithLimits(1000, 0)},
+		Res: &core.Results{Mode: core.ModeWFC, Stats: &pipeline.Stats{
+			Cycles: 1500, Committed: 1000, DReads: 300, OccD: occ,
+		}},
+		Wall:   3 * time.Millisecond,
+		Timing: &Timing{QueueNS: 10, CacheNS: 20, SimulateNS: 2_900_000, ReportNS: 40},
+	}
+	failed := Result{
+		Index: 3,
+		Job:   Job{Bench: "nope", Mode: "baseline"},
+		Err:   errors.New(`workloads: unknown benchmark "nope"`),
+		Wall:  17 * time.Millisecond,
+	}
+	for _, r := range []Result{timed, failed, {}} {
+		b, err := json.Marshal(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var r Result
+		if json.Unmarshal(b, &r) != nil {
+			return
+		}
+		enc, err := json.Marshal(r)
+		if err != nil {
+			t.Fatalf("decoded result does not encode: %v", err)
+		}
+		var back Result
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatalf("encoded result does not decode: %v\n%s", err, enc)
+		}
+		enc2, err := json.Marshal(back)
+		if err != nil {
+			t.Fatalf("re-decoded result does not encode: %v", err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("round trip changed the encoding:\n%s\nvs\n%s", enc, enc2)
+		}
+	})
 }
